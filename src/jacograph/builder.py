@@ -21,6 +21,7 @@ how many arcs the graph has.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -132,43 +133,34 @@ def build(p: IncidencePolynomial, n: int) -> JacoGraph:
 def root_stream(p: IncidencePolynomial) -> Iterator[VertexRecord]:
     """Yield the vertex records of the infinite root graph for i = 1, 2, ...
 
-    Memory stays proportional to the active reach window: reaches are kept
-    only while some later vertex may still fall inside them, which is the
-    windowed form of the same difference-array accounting the finite build
-    uses (reach never decreases, so the expired prefix can be dropped).
-    The stream raises :class:`ArithmeticOverflowError` when f(i) + i leaves
-    the 64-bit range.
+    Memory stays proportional to the active reach window: a reach is kept
+    only while it still covers the next vertex, so the window's length is
+    the next in-degree.  Reaches never decrease, so expired reaches always
+    leave from the front.  The stream raises
+    :class:`ArithmeticOverflowError` when f(i) + i leaves the 64-bit range.
     """
     a, b, c = p.a, p.b, p.c
+    new = tuple.__new__  # skips the NamedTuple constructor's argument handling
     record = VertexRecord
-    reaches: list[int] = []
-    append = reaches.append
-    count = 0  # len(reaches), kept in a local for speed
-    j = 0      # position of the first unexpired reach in the local list
-    base = 0   # how many expired reaches were dropped so far
+    window: deque[int] = deque()
+    push, expire = window.append, window.popleft
     limit = INT64_MAX
     fi = a + b + c          # f(i), advanced by exact forward differences
     dfi = 3 * a + b         # f(i+1) - f(i) at i = 1
     ddf = 2 * a
     i = 1
     while True:
-        while j < count and reaches[j] < i:
-            j += 1
-        indeg = i - 1 - base - j
+        while window and window[0] < i:
+            expire()
+        indeg = len(window)
         if fi > limit - i:
             raise ArithmeticOverflowError(f"f({i}) + {i} exceeds the 64-bit range")
         r = i + fi - indeg
-        yield record(i, indeg, r)
-        append(r)
-        count += 1
+        yield new(record, (i, indeg, r))
+        push(r)
         fi += dfi
         dfi += ddf
         i += 1
-        if j > 16384:
-            del reaches[:j]
-            count -= j
-            base += j
-            j = 0
 
 
 def out_degree_root(g: JacoGraph, i: int) -> int:
@@ -190,9 +182,5 @@ def arcs(g: JacoGraph, budget: int = DEFAULT_ARC_BUDGET) -> list[tuple[int, int]
     total = g.arc_count()
     if total > budget:
         raise ArcBudgetExceededError(f"{total} arcs exceed the budget of {budget}")
-    out: list[tuple[int, int]] = []
-    for i in range(1, g.n + 1):
-        hi = g.capped_reach(i)
-        for j in range(i + 1, hi + 1):
-            out.append((i, j))
-    return out
+    n = g.n
+    return [(i, j) for i, r in enumerate(g.reaches, start=1) for j in range(i + 1, min(r, n) + 1)]

@@ -18,11 +18,13 @@ so an optimal weight vector is always non-increasing.  Among optimal
 colourings the result is canonicalized: lexicographically greatest weight
 vector first, then lexicographically smallest vertex-to-colour assignment.
 
-Graphs built from Jaco reaches carry an interval certificate (every
-vertex's closed neighbourhood is an index range), which makes the graph a
-proper interval graph; the chromatic number is then the maximum point
-coverage of the ranges, computed in O(n).  Graphs without the certificate
-go through an exact search that is practical up to roughly 25 vertices.
+Graphs built from Jaco reaches carry a proper-interval certificate: caps
+cap(1) <= cap(2) <= ... with u ~ v (u < v) exactly when v <= cap(u).
+Because the caps never decrease, every closed neighbourhood is an index
+range and every window [u, cap(u)] is a clique, so the chromatic number is
+the largest window, max(cap(u) - u) + 1, read off in O(n).  Graphs without
+the certificate go through an exact search that is practical up to roughly
+25 vertices.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ class SimpleGraph:
     """Undirected simple graph on vertices 1..order.
 
     ``adjacency[v - 1]`` is a bitmask with bit (u - 1) set when u ~ v.
-    ``interval_caps``, when present, certifies interval structure:
-    u ~ v for u < v exactly when v <= interval_caps[u - 1].
+    ``interval_caps``, when present, certifies proper interval structure:
+    the caps are non-decreasing and u ~ v for u < v exactly when
+    v <= interval_caps[u - 1].
     """
 
     order: int
@@ -73,18 +76,26 @@ class SimpleGraph:
 
     @classmethod
     def from_intervals(cls, caps: Iterable[int]) -> "SimpleGraph":
-        """Build the interval graph where u ~ v (u < v) iff v <= caps[u-1]."""
+        """Build the proper interval graph where u ~ v (u < v) iff v <= caps[u-1].
+
+        The caps must be non-decreasing, with caps[u-1] in u..order.  The
+        closed neighbourhood of v is then the range lo..caps[v-1], where lo
+        is the first vertex whose cap reaches v and only moves forward.
+        """
         caps = tuple(caps)
         order = len(caps)
         if order < 1:
             raise ValueError("at least one vertex required")
-        masks = [0] * order
-        for u, cap in enumerate(caps, start=1):
-            if not u <= cap <= order:
-                raise ValueError(f"cap of vertex {u} must lie in {u}..{order}, got {cap}")
-            for v in range(u + 1, cap + 1):
-                masks[u - 1] |= 1 << (v - 1)
-                masks[v - 1] |= 1 << (u - 1)
+        masks = []
+        lo = 1
+        for v, cap in enumerate(caps, start=1):
+            if not v <= cap <= order:
+                raise ValueError(f"cap of vertex {v} must lie in {v}..{order}, got {cap}")
+            if v > 1 and cap < caps[v - 2]:
+                raise ValueError(f"caps must be non-decreasing, got {caps[v - 2]} then {cap}")
+            while caps[lo - 1] < v:
+                lo += 1
+            masks.append((1 << cap) - (1 << (lo - 1)) - (1 << (v - 1)))
         return cls(order, tuple(masks), caps)
 
     @classmethod
@@ -198,23 +209,6 @@ class _Budget:
             raise SearchBudgetExceededError("exact search exceeded its node budget")
 
 
-def _coverage_chi(caps: tuple[int, ...]) -> int:
-    """Chromatic number of an interval-certified graph: the maximum number
-    of ranges [i, caps[i-1]] covering one point (= maximum clique)."""
-    n = len(caps)
-    diff = [0] * (n + 2)
-    for i, cap in enumerate(caps, start=1):
-        diff[i] += 1
-        diff[cap + 1] -= 1
-    best = 0
-    running = 0
-    for i in range(1, n + 1):
-        running += diff[i]
-        if running > best:
-            best = running
-    return best
-
-
 def _greedy_clique(adj: tuple[int, ...], n: int) -> int:
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     best = 0
@@ -268,13 +262,13 @@ def chromatic_number(graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGE
     """Exact chromatic number.
 
     Interval-certified graphs are perfect, so chi equals the maximum
-    clique, read off the ranges in O(n).  Other graphs go through an
+    clique, the largest window [u, cap(u)].  Other graphs go through an
     exact colourability search from a greedy clique lower bound up to a
     first-fit upper bound; raises :class:`SearchBudgetExceededError` when
     the instance is too hard for the budget.
     """
     if graph.interval_caps is not None:
-        return _coverage_chi(graph.interval_caps)
+        return max(cap - u for u, cap in enumerate(graph.interval_caps, start=1)) + 1
     adj = graph.adjacency
     n = graph.order
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))

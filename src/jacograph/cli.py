@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import __version__
 from .braided import (
@@ -151,7 +152,9 @@ _TABLE3_COLUMNS = ("chi_minus", "chi_plus", "mu_minus", "mu_plus", "var_minus", 
 
 # the worked two-block example (blocks 7 and 5, overlap 3) publishes a
 # maximum-side variance inconsistent with its own weights
-_PUBLISHED_BRAIDED = {(7, 5, 3): {"var_plus": "614/81"}}
+_PUBLISHED_BRAIDED = {(7, 5, 3): ("614/81",)}
+
+_BRAIDED_COLUMNS = ("var_plus",)
 
 
 def _errata_cell(published: tuple[str, ...] | None, columns, computed: tuple[str, ...]) -> str:
@@ -244,7 +247,8 @@ def cmd_braided(args) -> int:
         )
     graph = realize(s)
     if args.format == "dot":
-        _write(args, _dot_lines(graph.order, list(graph.edges()), directed=False))
+        isolated = [v for v, mask in enumerate(graph.adjacency, start=1) if not mask]
+        _write(args, _dot_lines(isolated, graph.edges(), directed=False))
         return EXIT_OK
     report = chroma_report(graph)
     if report.var_minus != report.var_plus:
@@ -264,23 +268,9 @@ def cmd_braided(args) -> int:
         else:
             cells.append("-")
     if args.show_paper_errata:
-        key = None
-        if len(orders) == 2:
-            key = (max(orders), min(orders), overlaps[0])
-        published = _PUBLISHED_BRAIDED.get(key)
-        if published:
-            computed = {
-                "var_plus": _fmt_fraction(report.var_plus),
-                "var_minus": _fmt_fraction(report.var_minus),
-            }
-            diffs = [
-                f"{name}={pub}"
-                for name, pub in sorted(published.items())
-                if Fraction(pub) != Fraction(computed[name])
-            ]
-            cells.append(";".join(diffs) if diffs else "-")
-        else:
-            cells.append("-")
+        key = (max(orders), min(orders), overlaps[0]) if len(orders) == 2 else None
+        computed = (_fmt_fraction(report.var_plus),)
+        cells.append(_errata_cell(_PUBLISHED_BRAIDED.get(key), _BRAIDED_COLUMNS, computed))
     _write(args, ["\t".join(cells)])
     return EXIT_OK
 
@@ -317,20 +307,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def _dot_lines(n: int, arc_list: list[tuple[int, int]], directed: bool) -> list[str]:
+def _dot_lines(
+    isolated: Iterable[int], arc_list: Iterable[tuple[int, int]], directed: bool
+) -> list[str]:
     keyword, joiner = ("digraph", "->") if directed else ("graph", "--")
-    covered = set()
-    for u, v in arc_list:
-        covered.add(u)
-        covered.add(v)
-    lines = [f"{keyword} {{"]
-    for v in range(1, n + 1):
-        if v not in covered:
-            lines.append(f"  v{v};")
-    for u, v in arc_list:
-        lines.append(f"  v{u} {joiner} v{v};")
-    lines.append("}")
-    return lines
+    return [
+        f"{keyword} {{",
+        *(f"  v{v};" for v in isolated),
+        *(f"  v{u} {joiner} v{v};" for u, v in arc_list),
+        "}",
+    ]
 
 
 def cmd_export(args) -> int:
@@ -348,11 +334,16 @@ def cmd_export(args) -> int:
             ],
         }
         if args.arcs:
-            obj["arcs"] = [[u, v] for u, v in arcs(g, args.arc_budget)]
+            obj["arcs"] = arcs(g, args.arc_budget)
         _write(args, [json.dumps(obj)])
         return EXIT_OK
     arc_list = arcs(g, args.arc_budget)
-    _write(args, _dot_lines(g.n, arc_list, directed=args.format == "dot-directed"))
+    # a vertex is isolated when nothing reaches it and it reaches nothing
+    isolated = [
+        i for i, (d, r) in enumerate(zip(g.in_degrees, g.reaches), start=1)
+        if d == 0 and min(r, g.n) == i
+    ]
+    _write(args, _dot_lines(isolated, arc_list, directed=args.format == "dot-directed"))
     return EXIT_OK
 
 
@@ -414,10 +405,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,24 +146,15 @@ def smallest_with_max_degree(p: IncidencePolynomial) -> tuple[int, int, int]:
 def component_decomposition(g: JacoGraph) -> list[range]:
     """Connected components of the underlying graph, as contiguous ranges.
 
-    Neighbourhoods are index intervals, so components are too.  Constant
-    incidence c >= 1 gives consecutive blocks of size c + 1 (the last may
-    be smaller); any a >= 1 or b >= 1 gives a single component; the zero
-    polynomial gives n singletons.
+    Neighbourhoods are index intervals, so components are too.  Reaches
+    never decrease, so a component starts at every i whose predecessor
+    does not reach it.  Constant incidence c >= 1 gives consecutive blocks
+    of size c + 1 (the last may be smaller); any a >= 1 or b >= 1 gives a
+    single component; the zero polynomial gives n singletons.
     """
     n = g.n
-    out: list[range] = []
-    start = 1
-    furthest = g.capped_reach(1)
-    for i in range(2, n + 1):
-        if i > furthest:
-            out.append(range(start, i))
-            start = i
-            furthest = g.capped_reach(i)
-        else:
-            furthest = max(furthest, g.capped_reach(i))
-    out.append(range(start, n + 1))
-    return out
+    starts = [1] + [i for i, r in zip(range(2, n + 1), g.reaches) if r < i]
+    return [range(s, e) for s, e in zip(starts, starts[1:] + [n + 1])]
 
 
 class ConstructionRow(NamedTuple):

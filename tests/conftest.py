@@ -33,6 +33,16 @@ def small_graphs(draw, max_order=8):
     return SimpleGraph.from_edges(order, edges)
 
 
+@st.composite
+def non_decreasing_caps(draw, max_order=40):
+    """Caps of a proper interval graph: caps[v-1] in v..order, never decreasing."""
+    order = draw(st.integers(1, max_order))
+    caps = []
+    for v in range(1, order + 1):
+        caps.append(draw(st.integers(max(v, caps[-1] if caps else 1), order)))
+    return caps
+
+
 def product_sum_range(graph):
     """Fully literal reference: enumerate every colour assignment tuple.
 

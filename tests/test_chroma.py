@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from jacograph import (
     IncidencePolynomial,
@@ -19,7 +19,7 @@ from jacograph import (
     underlying_graph,
 )
 from jacograph.oracle import exhaustive_min_sum
-from conftest import product_sum_range, small_graphs
+from conftest import non_decreasing_caps, product_sum_range, small_graphs
 
 X2 = IncidencePolynomial(1, 0, 0)
 
@@ -210,3 +210,40 @@ def test_min_weights_are_non_increasing(g):
     assert all(weights[i] >= weights[i + 1] for i in range(len(weights) - 1))
     assert sum(weights) == g.order
     assert all(w >= 1 for w in weights)
+
+
+@given(non_decreasing_caps())
+@settings(max_examples=150)
+def test_from_intervals_matches_per_edge_reference(caps):
+    order = len(caps)
+    masks = [0] * order
+    for u, cap in enumerate(caps, start=1):
+        for v in range(u + 1, cap + 1):
+            masks[u - 1] |= 1 << (v - 1)
+            masks[v - 1] |= 1 << (u - 1)
+    g = SimpleGraph.from_intervals(caps)
+    assert g.adjacency == tuple(masks)
+    assert g.interval_caps == tuple(caps)
+
+
+@given(non_decreasing_caps())
+@settings(max_examples=150)
+def test_interval_chi_is_max_point_coverage(caps):
+    order = len(caps)
+    coverage = max(
+        sum(1 for u, cap in enumerate(caps, start=1) if u <= point <= cap)
+        for point in range(1, order + 1)
+    )
+    assert chromatic_number(SimpleGraph.from_intervals(caps)) == coverage
+
+
+@given(non_decreasing_caps(), st.data())
+@settings(max_examples=100)
+def test_from_intervals_rejects_decreasing_caps(caps, data):
+    # lowering cap(v) to v stays in range but drops below cap(v - 1)
+    dips = [v for v in range(2, len(caps) + 1) if caps[v - 2] > v]
+    assume(dips)
+    v = data.draw(st.sampled_from(dips))
+    caps[v - 1] = v
+    with pytest.raises(ValueError, match="non-decreasing"):
+        SimpleGraph.from_intervals(caps)

@@ -116,6 +116,31 @@ def test_braided_dot(capsys):
     assert out == "graph {\n  v1 -- v2;\n  v2 -- v3;\n}\n"
 
 
+def test_braided_dot_lists_isolated_block(capsys):
+    code, out, _ = run(capsys, "braided", "--orders", "3,1,3", "--overlaps", "0,0",
+                       "--format", "dot")
+    assert code == 0
+    assert out == (
+        "graph {\n  v4;\n  v1 -- v2;\n  v1 -- v3;\n  v2 -- v3;\n"
+        "  v5 -- v6;\n  v5 -- v7;\n  v6 -- v7;\n}\n"
+    )
+
+
+def test_export_dot_lists_isolated_vertices(capsys):
+    cases = [
+        ("0", "4", "dot-directed", "digraph {\n  v1;\n  v2;\n  v3;\n  v4;\n}\n"),
+        ("0", "4", "dot-underlying", "graph {\n  v1;\n  v2;\n  v3;\n  v4;\n}\n"),
+        ("1", "7", "dot-directed",
+         "digraph {\n  v7;\n  v1 -> v2;\n  v3 -> v4;\n  v5 -> v6;\n}\n"),
+        ("1", "7", "dot-underlying",
+         "graph {\n  v7;\n  v1 -- v2;\n  v3 -- v4;\n  v5 -- v6;\n}\n"),
+    ]
+    for f, n, fmt, expected in cases:
+        code, out, _ = run(capsys, "export", "--f", f, "--n", n, "--format", fmt)
+        assert code == 0
+        assert out == expected
+
+
 def test_export_dot_directed(capsys):
     code, out, _ = run(capsys, "export", "--f", "x^2", "--n", "3",
                        "--format", "dot-directed")

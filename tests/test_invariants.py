@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacograph import (
     HopeNotCompleteError,
     IncidencePolynomial,
     UnreachableVertexError,
+    arcs,
     build,
     completeness_threshold,
     component_decomposition,
@@ -143,6 +144,30 @@ def test_components_partition_the_vertices(p, n):
     comps = component_decomposition(build(p, n))
     flattened = [v for comp in comps for v in comp]
     assert flattened == list(range(1, n + 1))
+
+
+@given(polynomials(), st.integers(1, 80))
+@example(IncidencePolynomial(0, 0, 0), 80)
+@example(IncidencePolynomial(0, 0, 1), 80)
+@example(IncidencePolynomial(0, 0, 3), 79)
+@settings(max_examples=80)
+def test_components_match_union_find_over_arcs(p, n):
+    g = build(p, n)
+    parent = list(range(n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in arcs(g):
+        parent[find(u)] = find(v)
+    groups = {}
+    for v in range(1, n + 1):
+        groups.setdefault(find(v), []).append(v)
+    expected = sorted(groups.values())
+    assert [list(comp) for comp in component_decomposition(g)] == expected
 
 
 def test_construction_table_matches_reference_rows():
