@@ -12,19 +12,22 @@ maps a sum s to (chi+1)*|V| - s, so
 and chi-plus never needs a second search.
 
 The exact solver enumerates colour-class partitions (no colour-label
-symmetry) with branch-and-bound pruning.  Within a fixed partition, the
-optimal labelling is forced: larger classes take smaller colour indices,
-so an optimal weight vector is always non-increasing.  Among optimal
-colourings the result is canonicalized: lexicographically greatest weight
-vector first, then lexicographically smallest vertex-to-colour assignment.
+symmetry) with branch-and-bound pruning; the same search, stopped at its
+first partition, decides whether k colours suffice.  Within a fixed
+partition, the optimal labelling is forced: larger classes take smaller
+colour indices, so an optimal weight vector is always non-increasing.
+Among optimal colourings the result is canonicalized: lexicographically
+greatest weight vector first, then lexicographically smallest
+vertex-to-colour assignment.
 
 Graphs built from Jaco reaches carry a proper-interval certificate: caps
 cap(1) <= cap(2) <= ... with u ~ v (u < v) exactly when v <= cap(u).
 Because the caps never decrease, every closed neighbourhood is an index
 range and every window [u, cap(u)] is a clique, so the chromatic number is
-the largest window, max(cap(u) - u) + 1, read off in O(n).  Graphs without
-the certificate go through an exact search that is practical up to roughly
-25 vertices.
+the largest window, max(cap(u) - u) + 1, read off in O(n).  For graphs
+without the certificate, chi is the first k, counting up from a greedy
+clique bound, for which the partition search finds k classes.  The
+search is practical up to roughly 25 vertices.
 """
 
 from __future__ import annotations
@@ -223,61 +226,27 @@ def _greedy_clique(adj: tuple[int, ...], n: int) -> int:
     return best
 
 
-def _first_fit(adj: tuple[int, ...], order: list[int]) -> list[int]:
-    colours = [0] * len(adj)
-    for v in order:
-        used = {colours[u] for u in _bits(adj[v]) if colours[u]}
-        c = 1
-        while c in used:
-            c += 1
-        colours[v] = c
-    return colours
-
-
-def _k_colourable(adj: tuple[int, ...], order: list[int], k: int, budget: _Budget) -> bool:
-    n = len(order)
-    colours = [0] * len(adj)
-
-    def rec(pos: int, max_used: int) -> bool:
-        budget.spend()
-        if pos == n:
-            return True
-        v = order[pos]
-        forbidden = 0
-        for u in _bits(adj[v]):
-            if colours[u]:
-                forbidden |= 1 << colours[u]
-        for c in range(1, min(k, max_used + 1) + 1):
-            if not (forbidden >> c) & 1:
-                colours[v] = c
-                if rec(pos + 1, max(max_used, c)):
-                    return True
-        colours[v] = 0
-        return False
-
-    return rec(0, 0)
-
-
 def chromatic_number(graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET) -> int:
     """Exact chromatic number.
 
     Interval-certified graphs are perfect, so chi equals the maximum
-    clique, the largest window [u, cap(u)].  Other graphs go through an
-    exact colourability search from a greedy clique lower bound up to a
-    first-fit upper bound; raises :class:`SearchBudgetExceededError` when
-    the instance is too hard for the budget.
+    clique, the largest window [u, cap(u)].  Other graphs run the
+    class-partition search, stopping at its first partition, for k from a
+    greedy clique bound upward (n singleton classes always fit); all k
+    share one node budget, and :class:`SearchBudgetExceededError` is
+    raised when the instance is too hard for it.
     """
     if graph.interval_caps is not None:
         return max(cap - u for u, cap in enumerate(graph.interval_caps, start=1)) + 1
-    adj = graph.adjacency
-    n = graph.order
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    upper = max(_first_fit(adj, order))
     budget = _Budget(node_budget)
-    for k in range(_greedy_clique(adj, n), upper):
-        if _k_colourable(adj, order, k, budget):
-            return k
-    return upper
+    k = _greedy_clique(graph.adjacency, graph.order)
+    while _PartitionSearch(graph, k, budget, first=True).run() is None:
+        k += 1
+    return k
+
+
+class _FirstPartition(Exception):
+    """Unwinds a first-partition search from its first leaf."""
 
 
 class _PartitionSearch:
@@ -289,13 +258,18 @@ class _PartitionSearch:
     is cut when even the optimistic completion (every remaining vertex
     joining the largest class for +1) cannot beat the incumbent; equal
     bounds are kept alive because ties are broken canonically at leaves.
+
+    With ``first`` set, the search stops at its first leaf, which answers
+    whether k classes suffice; stopping there costs the minimum-sum search
+    nothing per node.
     """
 
-    def __init__(self, graph: SimpleGraph, k: int, budget: _Budget):
+    def __init__(self, graph: SimpleGraph, k: int, budget: _Budget, first: bool = False):
         self.adj = graph.adjacency
         self.n = graph.order
         self.k = k
         self.budget = budget
+        self.first = first
         self.order = sorted(range(self.n), key=lambda v: (-self.adj[v].bit_count(), v))
         self.conflicts: list[int] = []
         self.members: list[list[int]] = []
@@ -305,11 +279,15 @@ class _PartitionSearch:
         self.best_weights: tuple[int, ...] | None = None
         self.best_assignment: tuple[int, ...] | None = None
 
-    def run(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        self._place(0)
+    def run(self) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+        """(sum, weights, assignment), or None when no partition into
+        exactly k independent classes exists."""
+        try:
+            self._place(0)
+        except _FirstPartition:
+            pass
         if self.best_sum is None:
-            # impossible when k = chi(G); guards an inconsistent caller
-            raise JacoError(f"no partition into {self.k} independent classes exists")
+            return None
         return self.best_sum, self.best_weights, self.best_assignment
 
     def _leaf(self) -> None:
@@ -328,6 +306,8 @@ class _PartitionSearch:
             self.best_sum = total
             self.best_weights = weights
             self.best_assignment = assignment
+        if self.first:
+            raise _FirstPartition
 
     def _place(self, pos: int) -> None:
         self.budget.spend()
@@ -380,8 +360,11 @@ def min_sum_colouring(
     (larger classes on smaller colour indices is forced by optimality).
     """
     k = chromatic_number(graph, node_budget)
-    budget = _Budget(node_budget)
-    total, weights, assignment = _PartitionSearch(graph, k, budget).run()
+    found = _PartitionSearch(graph, k, _Budget(node_budget)).run()
+    if found is None:
+        # impossible when k = chi(G); guards an inconsistent caller
+        raise JacoError(f"no partition into {k} independent classes exists")
+    total, weights, assignment = found
     return ProperColouring(assignment=assignment, k=k, weights=weights)
 
 

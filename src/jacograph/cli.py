@@ -412,10 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (
+        _UsageError,
         PolynomialParseError,
         InvalidOrderError,
         InvalidBraidError,

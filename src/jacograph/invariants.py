@@ -75,12 +75,12 @@ def hope_subgraph(g: JacoGraph) -> range:
     """
     rep = jaconian(g)
     lo = rep.prime_jaconian + 1
-    for i in range(lo, g.n):
-        if g.reach(i) < g.n:
-            raise HopeNotCompleteError(
-                f"vertex {i} reaches only {g.reach(i)} < n = {g.n};"
-                f" the range {lo}..{g.n} is not complete"
-            )
+    # reaches never decrease, so vertex lo has the shortest reach in lo..n-1
+    if lo < g.n and g.reaches[lo - 1] < g.n:
+        raise HopeNotCompleteError(
+            f"vertex {lo} reaches only {g.reaches[lo - 1]} < n = {g.n};"
+            f" the range {lo}..{g.n} is not complete"
+        )
     return range(lo, g.n + 1)
 
 

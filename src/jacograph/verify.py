@@ -98,12 +98,9 @@ class VerifyConfig:
         return self.polynomials is None or X_SQUARED in self.polynomials
 
 
-def _degrees_at(g: JacoGraph, k: int) -> list[int]:
+def _degrees_at(g: JacoGraph, k: int) -> tuple[int, ...]:
     """Underlying degrees of the order-k prefix, from the full build."""
-    return [
-        g.in_degrees[i - 1] + max(0, min(g.reaches[i - 1], k) - i)
-        for i in range(1, k + 1)
-    ]
+    return underlying_degrees(JacoGraph(g.incidence, k, g.in_degrees[:k], g.reaches[:k]))
 
 
 def _label(p: IncidencePolynomial) -> str:

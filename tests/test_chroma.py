@@ -42,6 +42,27 @@ def test_chromatic_number_generic_path():
     assert chromatic_number(cycle6) == 2
 
 
+def test_grotzsch_graph_needs_four_colours():
+    # triangle-free (clique bound 2) with chi = 4, so the search must
+    # reject k = 2 and k = 3 before it finds a partition
+    edges = [(i, i % 5 + 1) for i in range(1, 6)]
+    edges += [(i + 5, (i - 2) % 5 + 1) for i in range(1, 6)]
+    edges += [(i + 5, i % 5 + 1) for i in range(1, 6)]
+    edges += [(i + 5, 11) for i in range(1, 6)]
+    grotzsch = SimpleGraph.from_edges(11, edges)
+    assert grotzsch.edge_count() == 20
+    assert chromatic_number(grotzsch) == 4
+    colouring = min_sum_colouring(grotzsch)
+    assert ProperColouring.from_assignment(grotzsch, colouring.assignment) == colouring
+    assert (colour_sum(colouring), colouring.weights) == exhaustive_min_sum(grotzsch)
+
+
+@given(small_graphs(max_order=10))
+@settings(max_examples=100, deadline=None)
+def test_chromatic_number_matches_exhaustive_partitions(g):
+    assert chromatic_number(g) == len(exhaustive_min_sum(g)[1])
+
+
 def test_certificate_agrees_with_generic_search():
     for n in range(1, 16):
         g = jaco_underlying(n)

@@ -55,6 +55,26 @@ def test_hope_fails_over_disconnected_constant_graph():
         hope_subgraph(build(IncidencePolynomial(0, 0, 3), 8))
 
 
+@given(polynomials(), st.integers(1, 80))
+@example(IncidencePolynomial(0, 0, 3), 8)
+@example(IncidencePolynomial(0, 0, 1), 80)
+@settings(max_examples=150)
+def test_hope_subgraph_matches_literal_scan(p, n):
+    g = build(p, n)
+    lo = jaconian(g).prime_jaconian + 1
+    short = None
+    for i in range(lo, n):
+        if g.reach(i) < n:
+            short = i
+            break
+    if short is None:
+        assert hope_subgraph(g) == range(lo, n + 1)
+    else:
+        message = rf"^vertex {short} reaches only {g.reach(short)} < n = {n};"
+        with pytest.raises(HopeNotCompleteError, match=message):
+            hope_subgraph(g)
+
+
 def test_v1_distance_examples():
     assert v1_distance(build(X2, 6)) == 3
     assert v1_distance(build(X2, 35)) == 6
