@@ -46,7 +46,7 @@ from .errors import (
 )
 from .incidence import parse
 from .invariants import construction_table
-from .verify import VerifyConfig, available_properties, run as run_verify
+from .verify import X_SQUARED, VerifyConfig, available_properties, run as run_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,10 +171,6 @@ def _errata_cell(published: tuple[str, ...] | None, columns, computed: tuple[str
     return ";".join(diffs) if diffs else "-"
 
 
-def _is_x_squared(p) -> bool:
-    return (p.a, p.b, p.c) == (1, 0, 0)
-
-
 def cmd_table1(args) -> int:
     p = parse(args.f)
     if args.n < 1:
@@ -191,7 +187,7 @@ def cmd_table1(args) -> int:
         )
         fields = [str(row.index), *cells]
         if args.show_paper_errata:
-            published = _PUBLISHED_TABLE1_X2.get(row.index) if _is_x_squared(p) else None
+            published = _PUBLISHED_TABLE1_X2.get(row.index) if p == X_SQUARED else None
             fields.append(_errata_cell(published, _TABLE1_COLUMNS, cells))
         lines.append("\t".join(fields))
     _write(args, lines)
@@ -218,7 +214,7 @@ def cmd_table3(args) -> int:
             fields.append(_fmt_weights(report.weights_min))
             fields.append(_fmt_weights(report.weights_max))
         if args.show_paper_errata:
-            published = _PUBLISHED_TABLE3_X2.get(i) if _is_x_squared(p) else None
+            published = _PUBLISHED_TABLE3_X2.get(i) if p == X_SQUARED else None
             fields.append(_errata_cell(published, _TABLE3_COLUMNS, cells))
         lines.append("\t".join(fields))
     _write(args, lines)

@@ -36,9 +36,10 @@ class InvariantReport:
 
 def underlying_degrees(g: JacoGraph) -> tuple[int, ...]:
     """Degrees in the underlying undirected graph, indexed by vertex - 1."""
+    # reach(i) >= i for every vertex, so no out-degree term is negative
     n = g.n
     return tuple(
-        d + max(0, min(r, n) - i)
+        d + min(r, n) - i
         for i, (d, r) in enumerate(zip(g.in_degrees, g.reaches), start=1)
     )
 
@@ -168,6 +169,17 @@ class ConstructionRow(NamedTuple):
     v1_distance: int | None
 
 
+def _prefixes(p: IncidencePolynomial, n: int) -> Iterator[JacoGraph]:
+    """Yield the order-k graph for k = 1..n, sliced from one build.
+
+    In-degrees and reaches do not depend on the order, so the order-k
+    graph is the first k of each.
+    """
+    full = build(p, n)
+    for k in range(1, n + 1):
+        yield JacoGraph(p, k, full.in_degrees[:k], full.reaches[:k])
+
+
 def construction_table(p: IncidencePolynomial, n: int) -> Iterator[ConstructionRow]:
     """Yield the construction-table rows for orders 1..n.
 
@@ -176,14 +188,12 @@ def construction_table(p: IncidencePolynomial, n: int) -> Iterator[ConstructionR
     and the stepwise v1-distance (None when unreachable).  O(n^2) overall,
     meant for table-sized n.
     """
-    full = build(p, n)
-    for i in range(1, n + 1):
-        prefix = JacoGraph(p, i, full.in_degrees[:i], full.reaches[:i])
-        rep = jaconian(prefix)
+    for g in _prefixes(p, n):
+        rep = jaconian(g)
         yield ConstructionRow(
-            index=i,
-            in_degree=full.in_degrees[i - 1],
-            out_degree_root=full.reaches[i - 1] - i,
+            index=g.n,
+            in_degree=g.in_degrees[-1],
+            out_degree_root=g.reaches[-1] - g.n,
             jaconian_set=rep.jaconian_set,
             max_degree=rep.max_degree,
             v1_distance=rep.v1_distance,

@@ -5,11 +5,18 @@ over a coefficient grid (quadratic a in 1..3, b and c in 0..2, plus the
 constant/linear oracle polynomials), with brute-force oracles on the small
 orders.  The runner reports one line per property; any counterexample
 fails the run.
+
+Properties are named only in ``PROPERTIES``: ``run`` creates each
+:class:`PropertyResult` and passes it in, and a property records its
+checks and notes on it.  Laws stated order by order read the order-k
+graphs as prefixes of one build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
+from typing import Iterator
 
 from . import braided, chroma, oracle
 from .builder import JacoGraph, arcs, build
@@ -24,6 +31,7 @@ from .incidence import (
     parse,
 )
 from .invariants import (
+    _prefixes,
     completeness_threshold,
     component_decomposition,
     hope_subgraph,
@@ -80,11 +88,7 @@ class VerifyConfig:
     def structural_polys(self) -> tuple[IncidencePolynomial, ...]:
         if self.polynomials is not None:
             return self.polynomials
-        seen = list(QUADRATIC_GRID)
-        for p in ORACLE_POLYS:
-            if p not in seen:
-                seen.append(p)
-        return tuple(seen)
+        return tuple(dict.fromkeys(QUADRATIC_GRID + ORACLE_POLYS))
 
     def quadratic_polys(self) -> tuple[IncidencePolynomial, ...]:
         return tuple(p for p in self.structural_polys() if p.a >= 1)
@@ -98,17 +102,19 @@ class VerifyConfig:
         return self.polynomials is None or X_SQUARED in self.polynomials
 
 
-def _degrees_at(g: JacoGraph, k: int) -> tuple[int, ...]:
-    """Underlying degrees of the order-k prefix, from the full build."""
-    return underlying_degrees(JacoGraph(g.incidence, k, g.in_degrees[:k], g.reaches[:k]))
+def _prefix_degrees(
+    p: IncidencePolynomial, n: int
+) -> Iterator[tuple[JacoGraph, tuple[int, ...]]]:
+    """The order-k graph and its underlying degrees, for k = 1..n."""
+    for g in _prefixes(p, n):
+        yield g, underlying_degrees(g)
 
 
 def _label(p: IncidencePolynomial) -> str:
     return format_polynomial(p)
 
 
-def prop_forward_difference(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("forward-difference")
+def prop_forward_difference(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.structural_polys():
         for x in range(1, min(cfg.n_max, 200)):
             diff = evaluate(p, x + 1) - evaluate(p, x)
@@ -118,11 +124,9 @@ def prop_forward_difference(cfg: VerifyConfig) -> PropertyResult:
                 forward_difference_bound(p, x + 1) == diff,
                 f"{_label(p)}: difference bound at {x + 1} differs from the exact difference",
             )
-    return res
 
 
-def prop_parse_roundtrip(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("parse-roundtrip")
+def prop_parse_roundtrip(cfg: VerifyConfig, res: PropertyResult) -> None:
     extras = (
         IncidencePolynomial(0, 0, 0),
         IncidencePolynomial(0, 0, 5),
@@ -132,11 +136,9 @@ def prop_parse_roundtrip(cfg: VerifyConfig) -> PropertyResult:
     for p in cfg.structural_polys() + extras:
         text = format_polynomial(p)
         res.check(parse(text) == p, f"parse({text!r}) != {p}")
-    return res
 
 
-def prop_definitional_replay(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("definitional-replay")
+def prop_definitional_replay(cfg: VerifyConfig, res: PropertyResult) -> None:
     n = min(cfg.n_max, 200)
     for p in cfg.structural_polys():
         fast = arcs(build(p, n))
@@ -145,11 +147,9 @@ def prop_definitional_replay(cfg: VerifyConfig) -> PropertyResult:
             fast == literal,
             f"{_label(p)}: builder arcs differ from the definitional oracle at n={n}",
         )
-    return res
 
 
-def prop_reach_monotone(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("reach-monotone")
+def prop_reach_monotone(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.structural_polys():
         g = build(p, cfg.n_max)
         r = g.reaches
@@ -158,11 +158,9 @@ def prop_reach_monotone(cfg: VerifyConfig) -> PropertyResult:
         if p.a >= 1:
             strict = all(r[i] < r[i + 1] for i in range(len(r) - 1))
             res.check(strict, f"{_label(p)}: quadratic reach fails to strictly increase")
-    return res
 
 
-def prop_indegree_steps(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("indegree-steps")
+def prop_indegree_steps(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.quadratic_polys():
         g = build(p, cfg.n_max)
         d = g.in_degrees
@@ -170,11 +168,9 @@ def prop_indegree_steps(cfg: VerifyConfig) -> PropertyResult:
             all(d[i + 1] - d[i] in (0, 1) for i in range(len(d) - 1)),
             f"{_label(p)}: in-degree step outside {{0, 1}}",
         )
-    return res
 
 
-def prop_outdegree_distinct(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("outdegree-distinct")
+def prop_outdegree_distinct(cfg: VerifyConfig, res: PropertyResult) -> None:
     strict_everywhere = True
     for p in cfg.quadratic_polys():
         g = build(p, cfg.n_max)
@@ -187,14 +183,13 @@ def prop_outdegree_distinct(cfg: VerifyConfig) -> PropertyResult:
             strict_everywhere = False
     if strict_everywhere and cfg.quadratic_polys():
         res.notes.append("root out-degrees were strictly increasing in every checked graph")
-    return res
 
 
-def prop_truncation_coherence(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("truncation-coherence")
+def prop_truncation_coherence(cfg: VerifyConfig, res: PropertyResult) -> None:
+    n_max = cfg.n_max
     for p in cfg.structural_polys():
-        full = build(p, cfg.n_max)
-        for m in {1, 2, cfg.n_max // 3 or 1, cfg.n_max // 2 or 1, cfg.n_max}:
+        full = build(p, n_max)
+        for m in {1, min(2, n_max), n_max // 3 or 1, n_max // 2 or 1, n_max}:
             part = build(p, m)
             res.check(
                 part.in_degrees == full.in_degrees[:m]
@@ -205,73 +200,51 @@ def prop_truncation_coherence(cfg: VerifyConfig) -> PropertyResult:
                 all(part.out_degree(i) == min(part.reach(i), m) - i for i in range(1, m + 1)),
                 f"{_label(p)}: finite out-degree differs from min(reach, n) - i at n={m}",
             )
-    return res
 
 
-def prop_delta_monotone(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("delta-monotone")
+def prop_delta_monotone(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.structural_polys():
-        g = build(p, cfg.n_max)
-        previous = 0
-        ok = True
-        for k in range(1, cfg.n_max + 1):
-            delta = max(_degrees_at(g, k))
-            if delta < previous:
-                ok = False
-                break
-            previous = delta
-        res.check(ok, f"{_label(p)}: maximum degree dropped when growing to order {k}")
-    return res
+        deltas = (max(degrees) for _, degrees in _prefix_degrees(p, cfg.n_max))
+        drop = next(
+            (k for k, (before, after) in enumerate(pairwise(deltas), start=2) if after < before),
+            None,
+        )
+        res.check(drop is None, f"{_label(p)}: maximum degree dropped when growing to order {drop}")
 
 
-def prop_min_degree_bound(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("min-degree-bound")
+def prop_min_degree_bound(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.structural_polys():
-        g = build(p, cfg.n_max)
         f1 = evaluate(p, 1)
-        ok = all(0 <= min(_degrees_at(g, k)) <= f1 for k in range(1, cfg.n_max + 1))
+        ok = all(0 <= min(degrees) <= f1 for _, degrees in _prefix_degrees(p, cfg.n_max))
         res.check(ok, f"{_label(p)}: minimum degree left the range 0..f(1)")
-    return res
 
 
-def prop_prime_full_degree_prefix(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("prime-full-degree-prefix")
+def prop_prime_full_degree_prefix(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.structural_polys():
-        g = build(p, cfg.n_max)
-        for k in range(1, cfg.n_max + 1):
-            degrees = _degrees_at(g, k)
-            delta = max(degrees)
-            prime = degrees.index(delta) + 1
+        for g, degrees in _prefix_degrees(p, cfg.n_max):
+            prime = degrees.index(max(degrees)) + 1
             if degrees[prime - 1] == evaluate(p, prime):
                 res.check(
                     all(degrees[m - 1] == evaluate(p, m) for m in range(1, prime)),
-                    f"{_label(p)}, n={k}: prime at full degree but an earlier vertex is not",
+                    f"{_label(p)}, n={g.n}: prime at full degree but an earlier vertex is not",
                 )
-    return res
 
 
-def prop_milestone_prime(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("milestone-prime")
+def prop_milestone_prime(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.quadratic_polys():
-        g = build(p, cfg.n_max)
-        for n in range(2, cfg.n_max + 1):
-            milestone = next(
-                (i for i in range(1, n) if g.reaches[i - 1] == n), None
-            )
+        for g, degrees in _prefix_degrees(p, cfg.n_max):
+            n = g.n
+            milestone = next((i for i in range(1, n) if g.reaches[i - 1] == n), None)
             if milestone is None:
                 continue
-            degrees = _degrees_at(g, n)
-            delta = max(degrees)
-            prime = degrees.index(delta) + 1
+            prime = degrees.index(max(degrees)) + 1
             res.check(
                 prime == milestone,
                 f"{_label(p)}, n={n}: vertex {milestone} has reach n but prime is {prime}",
             )
-    return res
 
 
-def prop_completeness_threshold(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("completeness-threshold")
+def prop_completeness_threshold(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.structural_polys():
         thr = completeness_threshold(p)
         for k in range(1, min(thr, cfg.n_max) + 1):
@@ -289,60 +262,55 @@ def prop_completeness_threshold(cfg: VerifyConfig) -> PropertyResult:
                 any(d != thr for d in underlying_degrees(g)),
                 f"{_label(p)}: order {thr + 1} > f(1)+1 is still complete",
             )
-    return res
 
 
-def prop_degree_jump_bound(cfg: VerifyConfig) -> PropertyResult:
+def prop_degree_jump_bound(cfg: VerifyConfig, res: PropertyResult) -> None:
     # a quadratic-family law: constant incidence breaks it at block boundaries
-    res = PropertyResult("degree-jump-bound")
     for p in cfg.quadratic_polys():
-        g = build(p, cfg.n_max)
-        ok = True
-        for k in range(2, cfg.n_max + 1):
-            degrees = _degrees_at(g, k)
-            if any(
-                abs(degrees[i - 1] - degrees[i - 2]) > p.a * (2 * i - 1) + p.b
-                for i in range(2, k + 1)
-            ):
-                ok = False
-                break
-        res.check(ok, f"{_label(p)}: degree jump exceeded a(2i-1)+b at order {k}")
-    return res
+        jump = next(
+            (
+                g.n
+                for g, degrees in _prefix_degrees(p, cfg.n_max)
+                if any(
+                    abs(degrees[i - 1] - degrees[i - 2]) > p.a * (2 * i - 1) + p.b
+                    for i in range(2, g.n + 1)
+                )
+            ),
+            None,
+        )
+        res.check(jump is None, f"{_label(p)}: degree jump exceeded a(2i-1)+b at order {jump}")
 
 
-def prop_jaconian_plateau(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("jaconian-plateau")
+def prop_jaconian_plateau(cfg: VerifyConfig, res: PropertyResult) -> None:
     if not cfg.includes_x_squared():
         res.notes.append("defined for x^2 only; skipped for this polynomial selection")
-        return res
-    g = build(X_SQUARED, cfg.n_max + 1)
-    for n in range(1, cfg.n_max):
-        if g.in_degrees[n - 1] == g.in_degrees[n]:
-            size_n = _degrees_at(g, n).count(max(_degrees_at(g, n)))
-            size_next = _degrees_at(g, n + 1).count(max(_degrees_at(g, n + 1)))
+        return
+    # (in-degree of v_n, Jaconian set size) of the order-n graph
+    orders = (
+        (g.in_degrees[-1], degrees.count(max(degrees)))
+        for g, degrees in _prefix_degrees(X_SQUARED, cfg.n_max)
+    )
+    for n, ((indeg, size), (indeg_next, size_next)) in enumerate(pairwise(orders), start=1):
+        if indeg == indeg_next:
             res.check(
-                size_n != size_next,
-                f"x^2: in-degree plateau at {n} but the Jaconian set kept size {size_n}",
+                size != size_next,
+                f"x^2: in-degree plateau at {n} but the Jaconian set kept size {size}",
             )
-    return res
 
 
-def prop_hope_complete(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("hope-complete")
+def prop_hope_complete(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.quadratic_polys():
-        ok = True
-        for n in range(1, cfg.n_max + 1):
+        broken = None
+        for g in _prefixes(p, cfg.n_max):
             try:
-                hope_subgraph(build(p, n))
+                hope_subgraph(g)
             except HopeNotCompleteError:
-                ok = False
+                broken = g.n
                 break
-        res.check(ok, f"{_label(p)}: Hope subgraph not complete at order {n}")
-    return res
+        res.check(broken is None, f"{_label(p)}: Hope subgraph not complete at order {broken}")
 
 
-def prop_locator(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("smallest-max-degree-locator")
+def prop_locator(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.quadratic_polys():
         k, prime, delta = smallest_with_max_degree(p)
         swept = oracle.sweep_smallest_max_degree(p, delta)
@@ -357,11 +325,9 @@ def prop_locator(cfg: VerifyConfig) -> PropertyResult:
                 f"{_label(p)}: k = f(f(1))+1 = {k} (prime v{prime}, degree {delta});"
                 f" the superseded form f(f(1))-f(1)+1 = {superseded} misses"
             )
-    return res
 
 
-def prop_component_structure(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("component-structure")
+def prop_component_structure(cfg: VerifyConfig, res: PropertyResult) -> None:
     n = min(cfg.n_max, 60)
     for p in cfg.structural_polys():
         comps = component_decomposition(build(p, n))
@@ -382,11 +348,9 @@ def prop_component_structure(cfg: VerifyConfig) -> PropertyResult:
             )
         else:
             res.check(len(comps) == 1, f"{_label(p)}: connected family split into components")
-    return res
 
 
-def prop_oracle_colouring(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("oracle-colouring")
+def prop_oracle_colouring(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.oracle_polys():
         for n in range(1, cfg.colouring_n_max + 1):
             g = build(p, n)
@@ -404,11 +368,9 @@ def prop_oracle_colouring(cfg: VerifyConfig) -> PropertyResult:
                 f" {chroma.colour_sum(colouring)} {colouring.weights},"
                 f" oracle {exp_sum} {exp_weights}",
             )
-    return res
 
 
-def prop_complete_graph_sums(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("complete-graph-sums")
+def prop_complete_graph_sums(cfg: VerifyConfig, res: PropertyResult) -> None:
     for n in range(1, 51):
         report = chroma.chroma_report(chroma.SimpleGraph.complete(n))
         total, mean, variance = braided.complete_graph_stats(n)
@@ -421,37 +383,30 @@ def prop_complete_graph_sums(cfg: VerifyConfig) -> PropertyResult:
             and report.var_plus == variance,
             f"K_{n}: engine disagrees with the closed forms",
         )
-    return res
 
 
-def prop_reversal_identity(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("reversal-identity")
+def prop_reversal_identity(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.oracle_polys():
         for n in range(1, cfg.colouring_n_max + 1):
-            underlying = chroma.underlying_graph(build(p, n))
-            report = chroma.chroma_report(underlying)
+            report = chroma.chroma_report(chroma.underlying_graph(build(p, n)))
             res.check(
                 report.chi_minus + report.chi_plus == (report.chi + 1) * n,
                 f"{_label(p)}, n={n}: reversal identity broken",
             )
-            colouring = chroma.min_sum_colouring(underlying)
-            mean, variance = chroma.chromatic_stats(colouring)
-            rmean, rvariance = chroma.chromatic_stats(chroma.reverse_colouring(colouring))
             res.check(
-                rmean == (colouring.k + 1) - mean and rvariance == variance,
+                report.mu_plus == (report.chi + 1) - report.mu_minus
+                and report.var_plus == report.var_minus,
                 f"{_label(p)}, n={n}: reversed-colouring statistics relation broken",
             )
-    return res
 
 
-def prop_greedy_agreement(cfg: VerifyConfig) -> PropertyResult:
+def prop_greedy_agreement(cfg: VerifyConfig, res: PropertyResult) -> None:
     """Empirical: the iterated maximum-independent-set colouring matches the
     exact optimum on the reference quadratic family.  A divergence is
     reported as a failure so it cannot pass silently."""
-    res = PropertyResult("greedy-agreement")
     if not cfg.includes_x_squared():
         res.notes.append("defined for x^2 only; skipped for this polynomial selection")
-        return res
+        return
     for i in range(1, 21):
         g = chroma.underlying_graph(build(X_SQUARED, i))
         exact = chroma.min_sum_colouring(g)
@@ -461,11 +416,9 @@ def prop_greedy_agreement(cfg: VerifyConfig) -> PropertyResult:
             and chroma.colour_sum(greedy) == chroma.colour_sum(exact),
             f"x^2, n={i}: greedy gives {greedy.weights}, exact optimum {exact.weights}",
         )
-    return res
 
 
-def prop_braided_closed_forms(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("braided-closed-forms")
+def prop_braided_closed_forms(cfg: VerifyConfig, res: PropertyResult) -> None:
     for n in range(1, 12):
         for m in range(1, n + 1):
             for l in range(0, m + 1):
@@ -489,14 +442,12 @@ def prop_braided_closed_forms(cfg: VerifyConfig) -> PropertyResult:
                     and swapped.chi_plus == report.chi_plus,
                     f"blocks ({n}, {m}) overlap {l}: braiding is not commutative",
                 )
-    return res
 
 
-def prop_weight_evolution(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("weight-evolution")
+def prop_weight_evolution(cfg: VerifyConfig, res: PropertyResult) -> None:
     if not cfg.includes_x_squared():
         res.notes.append("defined for x^2 only; skipped for this polynomial selection")
-        return res
+        return
     previous: tuple[int, ...] | None = None
     for i in range(1, 21):
         weights = chroma.min_sum_colouring(
@@ -516,33 +467,27 @@ def prop_weight_evolution(cfg: VerifyConfig) -> PropertyResult:
                 f" {previous} -> {weights}",
             )
         previous = weights
-    return res
 
 
-def prop_variance_symmetry(cfg: VerifyConfig) -> PropertyResult:
-    res = PropertyResult("variance-symmetry")
+def prop_variance_symmetry(cfg: VerifyConfig, res: PropertyResult) -> None:
     if not cfg.includes_x_squared():
         res.notes.append("defined for x^2 only; skipped for this polynomial selection")
-        return res
+        return
     for i in range(1, 21):
         report = chroma.chroma_report(chroma.underlying_graph(build(X_SQUARED, i)))
         res.check(
             report.var_minus == report.var_plus,
             f"x^2, n={i}: minimum and maximum variances differ",
         )
-    return res
 
 
-def prop_jaconian_contiguity(cfg: VerifyConfig) -> PropertyResult:
+def prop_jaconian_contiguity(cfg: VerifyConfig, res: PropertyResult) -> None:
     """Observation only: the Jaconian set was a contiguous index block in
     every graph checked so far.  Never asserted."""
-    res = PropertyResult("jaconian-contiguity")
     contiguous = 0
     total = 0
     for p in cfg.structural_polys():
-        g = build(p, cfg.n_max)
-        for k in range(1, cfg.n_max + 1):
-            degrees = _degrees_at(g, k)
+        for _, degrees in _prefix_degrees(p, cfg.n_max):
             delta = max(degrees)
             members = [i for i, d in enumerate(degrees, start=1) if d == delta]
             total += 1
@@ -552,7 +497,6 @@ def prop_jaconian_contiguity(cfg: VerifyConfig) -> PropertyResult:
     res.notes.append(
         f"contiguous in {contiguous}/{total} graphs checked (observation, not asserted)"
     )
-    return res
 
 
 PROPERTIES = (
@@ -601,4 +545,9 @@ def run(cfg: VerifyConfig | None = None, only: tuple[str, ...] | None = None) ->
             selected.append((name, known[name]))
     else:
         selected = list(PROPERTIES)
-    return [func(cfg) for _, func in selected]
+    results = []
+    for name, func in selected:
+        res = PropertyResult(name)
+        func(cfg, res)
+        results.append(res)
+    return results

@@ -171,8 +171,8 @@ def test_proper_colouring_validation():
 
 
 def test_search_budget_raises():
-    # odd cycle: greedy clique (2) and first-fit (3) leave a gap, so the
-    # colourability search must actually run and hit the budget
+    # odd cycle: no interval certificate and a clique bound (2) below chi
+    # (3), so the partition search must actually run and hit the budget
     cycle9 = SimpleGraph.from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)])
     with pytest.raises(SearchBudgetExceededError):
         chromatic_number(cycle9, node_budget=2)

@@ -1,5 +1,6 @@
 import json
 
+from jacograph import IncidencePolynomial, verify
 from jacograph.cli import main
 
 
@@ -237,3 +238,28 @@ def test_verify_constant_incidence(capsys):
     assert code == 0
     assert "ok   component-structure" in out
     assert "properties passed" in out
+
+
+def test_verify_single_vertex(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "1")
+    assert code == 0
+    assert "all 25 properties passed" in out
+
+
+def test_verify_reports_a_failing_property(capsys, monkeypatch):
+    # a threshold of 0 claims that even the one-vertex graph is not complete
+    monkeypatch.setattr(verify, "completeness_threshold", lambda p: 0)
+    code, out, _ = run(capsys, "verify", "--prop", "completeness-threshold",
+                       "--f", "x^2", "--n", "5")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL completeness-threshold ")
+    assert "FAIL completeness-threshold: x^2: order 1 > f(1)+1 is still complete" in lines
+    assert lines[-1] == "1 of 1 properties failed"
+
+
+def test_verify_results_follow_the_property_order():
+    cfg = verify.VerifyConfig(
+        polynomials=(IncidencePolynomial(1, 0, 0),), n_max=5, colouring_n_max=3
+    )
+    assert [r.name for r in verify.run(cfg)] == list(verify.available_properties())

@@ -28,6 +28,20 @@ def test_underlying_degrees_examples():
     assert underlying_degrees(build(X2, 2)) == (1, 1)
 
 
+@given(polynomials(), st.integers(1, 200))
+@example(IncidencePolynomial(0, 0, 0), 10)
+@example(IncidencePolynomial(0, 0, 3), 9)
+@settings(max_examples=150)
+def test_reach_covers_vertex_so_degrees_need_no_clamp(p, n):
+    g = build(p, n)
+    assert all(r >= i for i, r in enumerate(g.reaches, start=1))
+    clamped = tuple(
+        d + max(0, min(r, n) - i)
+        for i, (d, r) in enumerate(zip(g.in_degrees, g.reaches), start=1)
+    )
+    assert underlying_degrees(g) == clamped
+
+
 def test_jaconian_examples():
     rep = jaconian(build(X2, 7))
     assert rep.jaconian_set == (3, 4, 5)
