@@ -99,7 +99,7 @@ class JacoGraph:
         )
 
     def arc_count(self) -> int:
-        return sum(min(r, self.n) - i for i, r in enumerate(self.reaches, start=1))
+        return sum(self.in_degrees)  # each arc once, at its head
 
 
 def build(p: IncidencePolynomial, n: int) -> JacoGraph:

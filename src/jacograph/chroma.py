@@ -286,6 +286,10 @@ class _PartitionSearch:
             self._place(0)
         except _FirstPartition:
             pass
+        except RecursionError:
+            raise SearchBudgetExceededError(
+                f"partition search on {self.n} vertices exceeds the recursion limit"
+            ) from None
         if self.best_sum is None:
             return None
         return self.best_sum, self.best_weights, self.best_assignment
@@ -385,7 +389,12 @@ def _mis_size(avail: int, adj: tuple[int, ...], budget: _Budget) -> int:
         if adj[v] & mask:
             rec(mask & ~(1 << v), size)
 
-    rec(avail, 0)
+    try:
+        rec(avail, 0)
+    except RecursionError:
+        raise SearchBudgetExceededError(
+            f"independent-set search on {len(adj)} vertices exceeds the recursion limit"
+        ) from None
     return best
 
 

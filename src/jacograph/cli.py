@@ -37,15 +37,13 @@ from .builder import DEFAULT_ARC_BUDGET, arcs, build
 from .chroma import chroma_report, underlying_graph
 from .errors import (
     ArcBudgetExceededError,
-    ArithmeticOverflowError,
-    InvalidBraidError,
     InvalidOrderError,
+    JacoError,
     OrderTooLargeError,
-    PolynomialParseError,
     SearchBudgetExceededError,
 )
 from .incidence import parse
-from .invariants import construction_table
+from .invariants import construction_table, underlying_degrees
 from .verify import X_SQUARED, VerifyConfig, available_properties, run as run_verify
 
 EXIT_OK = 0
@@ -334,11 +332,7 @@ def cmd_export(args) -> int:
         _write(args, [json.dumps(obj)])
         return EXIT_OK
     arc_list = arcs(g, args.arc_budget)
-    # a vertex is isolated when nothing reaches it and it reaches nothing
-    isolated = [
-        i for i, (d, r) in enumerate(zip(g.in_degrees, g.reaches), start=1)
-        if d == 0 and min(r, g.n) == i
-    ]
+    isolated = [i for i, d in enumerate(underlying_degrees(g), start=1) if d == 0]
     _write(args, _dot_lines(isolated, arc_list, directed=args.format == "dot-directed"))
     return EXIT_OK
 
@@ -408,18 +402,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
-    except (
-        _UsageError,
-        PolynomialParseError,
-        InvalidOrderError,
-        InvalidBraidError,
-        ArithmeticOverflowError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ArcBudgetExceededError, SearchBudgetExceededError, OrderTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (_UsageError, JacoError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -1,13 +1,17 @@
 """Structural invariants of built Jaco graphs.
 
 Everything here works on the interval-compressed form: the underlying
-(undirected) degree of v_i is indeg(i) + min(reach(i), n) - i, and all
-invariants derive from those degrees and the reach sequence.
+(undirected) degree of v_i is indeg(i) + min(reach(i), n) - i.  Reaches
+never decrease, so v_h..v_{n-1} reach v_n for h = n - indeg(n).  Below h
+the degree is f(i), which never decreases; from h on it is n - i + indeg(i),
+which never increases, as in-degrees grow by at most 1 per vertex.  So the
+maximum sits at h - 1 or h in one run, and the minimum at v_1 or v_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Iterator, NamedTuple
 
 from .builder import JacoGraph, build
@@ -44,22 +48,35 @@ def underlying_degrees(g: JacoGraph) -> tuple[int, ...]:
     )
 
 
+def _h_and_distance(g: JacoGraph) -> tuple[int, int | None]:
+    """h = n - indeg(n) and the v1-distance: h (0 if n = 1), or None when the
+    chain v1 -> v2 -> ... breaks at some t < h with reach(t) <= t."""
+    h = g.n - g.in_degrees[-1]
+    broken = any(map(le, g.reaches, range(1, h)))
+    return h, None if broken else (h if g.n > 1 else 0)
+
+
 def jaconian(g: JacoGraph) -> InvariantReport:
-    """Compute the full invariant report of ``g``."""
-    degrees = underlying_degrees(g)
-    max_degree = max(degrees)
-    jac = tuple(i for i, d in enumerate(degrees, start=1) if d == max_degree)
-    prime = jac[0]
-    try:
-        dist = v1_distance(g)
-    except UnreachableVertexError:
-        dist = None
+    """Read the invariant report of ``g`` off h = n - indeg(n): the maximum
+    degree's run is walked outward from v_{h-1} or v_h, whichever is larger."""
+    n, indeg, reaches = g.n, g.in_degrees, g.reaches
+
+    def degree(i: int) -> int:
+        return indeg[i - 1] + min(reaches[i - 1], n) - i
+
+    h, dist = _h_and_distance(g)
+    lo = hi = h - 1 if h > 1 and degree(h - 1) > degree(h) else h
+    top = degree(lo)
+    while lo > 1 and degree(lo - 1) == top:
+        lo -= 1
+    while hi < n and degree(hi + 1) == top:
+        hi += 1
     return InvariantReport(
-        max_degree=max_degree,
-        min_degree=min(degrees),
-        jaconian_set=jac,
-        prime_jaconian=prime,
-        hope_range=range(prime + 1, g.n + 1),
+        max_degree=top,
+        min_degree=min(degree(1), degree(n)),
+        jaconian_set=tuple(range(lo, hi + 1)),
+        prime_jaconian=lo,
+        hope_range=range(lo + 1, n + 1),
         v1_distance=dist,
     )
 
@@ -90,22 +107,15 @@ def v1_distance(g: JacoGraph) -> int:
     h is the smallest index whose reach covers v_n.
 
     This is the distance convention of the reference construction table
-    (for n >= 2 it equals n - indeg(n)); a shortest directed path may skip
-    chain vertices and be strictly shorter.  Raises
+    (read off h = n - indeg(n) for n >= 2); a shortest directed path may
+    skip chain vertices and be strictly shorter.  Raises
     :class:`UnreachableVertexError` when the chain breaks before covering
     v_n, which happens exactly when v_n lies in a later component.
     """
-    n = g.n
-    if n == 1:
-        return 0
-    t = 1
-    while True:
-        r = g.reach(t)
-        if r >= n:
-            return t
-        if r <= t:
-            raise UnreachableVertexError(f"no directed path from v1 to v{n}")
-        t += 1
+    dist = _h_and_distance(g)[1]
+    if dist is None:
+        raise UnreachableVertexError(f"no directed path from v1 to v{g.n}")
+    return dist
 
 
 def completeness_threshold(p: IncidencePolynomial) -> int:
@@ -185,8 +195,7 @@ def construction_table(p: IncidencePolynomial, n: int) -> Iterator[ConstructionR
 
     Each row reports data of the order-i graph: the in-degree and root
     out-degree of v_i, the Jaconian set and maximum degree of that graph,
-    and the stepwise v1-distance (None when unreachable).  O(n^2) overall,
-    meant for table-sized n.
+    and the stepwise v1-distance (None when unreachable).
     """
     for g in _prefixes(p, n):
         rep = jaconian(g)

@@ -12,7 +12,7 @@ from .builder import build
 from .chroma import SimpleGraph
 from .errors import OrderTooLargeError, SearchBudgetExceededError
 from .incidence import IncidencePolynomial
-from .invariants import jaconian
+from .invariants import underlying_degrees
 
 MAX_DEFINITIONAL_ORDER = 10_000
 MAX_EXHAUSTIVE_ORDER = 12
@@ -116,7 +116,7 @@ def sweep_smallest_max_degree(
     :class:`SearchBudgetExceededError` past ``max_order`` or if the target
     is skipped over."""
     for n in range(1, max_order + 1):
-        delta = jaconian(build(p, n)).max_degree
+        delta = max(underlying_degrees(build(p, n)))
         if delta == target:
             return n
         if delta > target:

@@ -483,7 +483,8 @@ def prop_variance_symmetry(cfg: VerifyConfig, res: PropertyResult) -> None:
 
 def prop_jaconian_contiguity(cfg: VerifyConfig, res: PropertyResult) -> None:
     """Observation only: the Jaconian set was a contiguous index block in
-    every graph checked so far.  Never asserted."""
+    every graph checked so far.  Never asserted, though ``jaconian`` relies
+    on it; this checks it literally, from every degree of every prefix."""
     contiguous = 0
     total = 0
     for p in cfg.structural_polys():

@@ -182,6 +182,13 @@ def test_search_budget_raises():
         greedy_min_sum(jaco_underlying(15), node_budget=3)
 
 
+def test_deep_search_ends_in_budget_error():
+    # both searches recurse once per vertex; past the recursion limit they
+    # must stop with a budget error, not a RecursionError
+    with pytest.raises(SearchBudgetExceededError, match="on 1000 vertices"):
+        greedy_min_sum(jaco_underlying(1000))
+
+
 @given(small_graphs())
 @settings(max_examples=120, deadline=None)
 def test_solver_matches_partition_oracle(g):

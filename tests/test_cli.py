@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from jacograph import IncidencePolynomial, verify
 from jacograph.cli import main
@@ -263,3 +266,37 @@ def test_verify_results_follow_the_property_order():
         polynomials=(IncidencePolynomial(1, 0, 0),), n_max=5, colouring_n_max=3
     )
     assert [r.name for r in verify.run(cfg)] == list(verify.available_properties())
+
+
+def test_deep_braid_search_ends_in_budget_error(capsys):
+    code, out, err = run(capsys, "braided", "--orders", "600,600", "--overlaps", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "1199 vertices" in err
+    assert "Traceback" not in err
+
+
+# sha256 of standard output, pinned so that a refactor keeps the bytes
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("table1 --f x^2 --n 35 --show-paper-errata",
+         "c84401c3ce43d653849d1b34872285057005f193293b62294e40063ffd0e6fc8"),
+        ("table1 --f x^2 --n 1000",
+         "45d134e35ccac744bfdf89afb3aa599f3cd3b472b768de50979f26e03a7d839f"),
+        ("table1 --f 3 --n 300",
+         "b62aaebc8a19e13b71545e2d904c47ca6d05b583385adfe3acc527680dab6ee9"),
+        ("table1 --f 0 --n 7",
+         "52f4f4eaf9e925a0dd21c9e213aa42ac3bee2aa47c0cd32cb18296d4a73561cf"),
+        ("table1 --f 2*x --n 300",
+         "6213e07fb1f51468c416125018eb316d390194a371cd20f4164f5c08bf5ed7cc"),
+        ("export --f 3 --n 11 --format dot-underlying",
+         "8f8fd1ecb9cdf9afd20559b97a513b1a0e2465b92fb605357bf7d3adad43214d"),
+        ("export --f 0 --n 5 --format dot-directed",
+         "02e09edc67c383780dcd2e314db5b154b19318c00a757ca0ae538484c99dab06"),
+    ],
+)
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from jacograph import (
     HopeNotCompleteError,
     IncidencePolynomial,
+    InvariantReport,
     UnreachableVertexError,
     arcs,
     build,
@@ -12,6 +13,7 @@ from jacograph import (
     construction_table,
     hope_subgraph,
     jaconian,
+    parse,
     smallest_with_max_degree,
     underlying_degrees,
     v1_distance,
@@ -56,6 +58,69 @@ def test_jaconian_examples():
     assert rep1.jaconian_set == (1,)
     assert rep1.max_degree == 0
     assert rep1.v1_distance == 0
+
+
+def _walked_distance(g):
+    """The stepwise chain v1 -> v2 -> ..., one reach at a time: the hop
+    count at the first vertex whose reach covers v_n, None at a break."""
+    if g.n == 1:
+        return 0
+    t = 1
+    while True:
+        r = g.reach(t)
+        if r >= g.n:
+            return t
+        if r <= t:
+            return None
+        t += 1
+
+
+def _scanned_report(g):
+    """The invariant report scanned literally from every degree."""
+    degrees = underlying_degrees(g)
+    top = max(degrees)
+    jac = tuple(i for i, d in enumerate(degrees, start=1) if d == top)
+    return InvariantReport(
+        max_degree=top,
+        min_degree=min(degrees),
+        jaconian_set=jac,
+        prime_jaconian=jac[0],
+        hope_range=range(jac[0] + 1, g.n + 1),
+        v1_distance=_walked_distance(g),
+    )
+
+
+def _assert_read_off_matches_scan(g):
+    assert jaconian(g) == _scanned_report(g)
+    walked = _walked_distance(g)
+    if walked is None:
+        with pytest.raises(UnreachableVertexError):
+            v1_distance(g)
+    else:
+        assert v1_distance(g) == walked
+
+
+@given(st.one_of(polynomials(), polynomials(10, 10, 10)), st.integers(1, 300))
+@settings(max_examples=300)
+def test_read_off_matches_literal_scan(p, n):
+    _assert_read_off_matches_scan(build(p, n))
+
+
+@pytest.mark.parametrize("n", [5, 8, 9])
+@pytest.mark.parametrize("text", ["0", "1", "3"])
+def test_read_off_where_the_run_reaches_into_the_prefix(text, n):
+    # the Jaconian run starts at v1, and v_n lies beyond the first component
+    g = build(parse(text), n)
+    _assert_read_off_matches_scan(g)
+    assert jaconian(g).prime_jaconian == 1
+    assert jaconian(g).v1_distance is None
+
+
+@given(st.one_of(polynomials(), polynomials(10, 10, 10)), st.integers(1, 60))
+@settings(max_examples=150)
+def test_arc_count_counts_the_materialized_arcs(p, n):
+    g = build(p, n)
+    assert g.arc_count() == len(arcs(g))
 
 
 def test_hope_subgraph_examples():
