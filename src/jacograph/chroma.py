@@ -26,14 +26,33 @@ Because the caps never decrease, every closed neighbourhood is an index
 range and every window [u, cap(u)] is a clique, so the chromatic number is
 the largest window, max(cap(u) - u) + 1, read off in O(n).  For graphs
 without the certificate, chi is the first k, counting up from a greedy
-clique bound, for which the partition search finds k classes.  The
-search is practical up to roughly 25 vertices.
+clique bound, for which the partition search finds k classes.
+
+Certified graphs are coloured without a search.  First-fit in index
+order gives each vertex the least colour no earlier neighbour holds; on
+intervals sorted by left end it uses exactly chi colours, and it is the
+lexicographically smallest proper assignment of all, since each vertex
+takes the least colour its prefix allows.  Its sum is then checked
+against a lower bound.  Let alpha_j be the largest number of intervals
+[u, cap(u)] covering no point more than j times (the largest subgraph j
+colours can colour), found greedily by right end (Yannakakis and Gavril
+1987; Carlisle and Lloyd 1995).  A chi-colouring whose first j classes
+hold W_j vertices has colour sum chi*n - sum_{j<chi} W_j, and W_j <=
+alpha_j, so the sum is at least chi*n - sum_{j<chi} alpha_j.  When
+first-fit meets this bound every optimum has W_j = alpha_j, so the
+optimal weight vector is unique, and first-fit, being lexicographically
+smallest, is exactly the canonical colouring above.  Otherwise the
+partition search runs, as min-sum colouring is NP-hard on interval
+graphs in general (Marx 2005).  The search itself is practical up to
+roughly 25 vertices.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable, Iterator
 
 from .builder import JacoGraph
@@ -353,6 +372,50 @@ class _PartitionSearch:
             self.conflicts.pop()
 
 
+def _first_fit(caps: tuple[int, ...]) -> ProperColouring:
+    """Colour v = 1..n with the least colour no earlier neighbour holds.
+
+    A colour is busy while the cap of its latest vertex reaches v; caps
+    never decrease, so busy colours free up in the order they were last
+    used, and the free ones wait in a heap.
+    """
+    busy: deque[tuple[int, int]] = deque()  # (cap, colour), caps ascending
+    free: list[int] = []
+    assignment = []
+    weights = []
+    for v, cap in enumerate(caps, start=1):
+        while busy and busy[0][0] < v:
+            heappush(free, busy.popleft()[1])
+        if free:
+            colour = heappop(free)
+            weights[colour - 1] += 1
+        else:
+            weights.append(1)
+            colour = len(weights)
+        assignment.append(colour)
+        busy.append((cap, colour))
+    return ProperColouring(tuple(assignment), len(weights), tuple(weights))
+
+
+def _prefix_bound(caps: tuple[int, ...], k: int) -> int:
+    """k*n - sum_{j<k} alpha_j, a lower bound on the colour sum of every
+    k-colouring of the certified graph.
+
+    alpha_j comes from one greedy pass by right end: vertex u joins when
+    fewer than j chosen intervals still cover u (their caps reach u).
+    """
+    total = k * len(caps)
+    for j in range(1, k):
+        chosen: deque[int] = deque()
+        for u, cap in enumerate(caps, start=1):
+            while chosen and chosen[0] < u:
+                chosen.popleft()
+            if len(chosen) < j:
+                chosen.append(cap)
+                total -= 1
+    return total
+
+
 def min_sum_colouring(
     graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> ProperColouring:
@@ -362,8 +425,16 @@ def min_sum_colouring(
     greatest weight vector, and among those the lexicographically smallest
     vertex-to-colour assignment.  The weight vector is non-increasing
     (larger classes on smaller colour indices is forced by optimality).
+    An interval-certified graph gets its first-fit colouring when that
+    meets the prefix bound (see the module docstring), spending no search
+    nodes; otherwise the partition search runs.
     """
     k = chromatic_number(graph, node_budget)
+    caps = graph.interval_caps
+    if caps is not None:
+        colouring = _first_fit(caps)
+        if colour_sum(colouring) == _prefix_bound(caps, k):
+            return colouring
     found = _PartitionSearch(graph, k, _Budget(node_budget)).run()
     if found is None:
         # impossible when k = chi(G); guards an inconsistent caller
@@ -425,7 +496,14 @@ def greedy_min_sum(
     maximum independent sets are broken towards the lexicographically
     smallest vertex set.  Not guaranteed to minimize the colour sum on
     every graph; the exact solver is the reference.
+
+    On an interval-certified graph the leftmost sweep is the
+    lexicographically smallest maximum independent set, and first-fit
+    runs that sweep for every colour at once, so its colouring is returned
+    with no search.
     """
+    if graph.interval_caps is not None:
+        return _first_fit(graph.interval_caps)
     adj = graph.adjacency
     budget = _Budget(node_budget)
     remaining = (1 << graph.order) - 1

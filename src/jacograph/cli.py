@@ -270,6 +270,8 @@ def cmd_braided(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.colouring_n < 1:
+        raise InvalidOrderError(f"--colouring-n must be >= 1, got {args.colouring_n}")
     polys = tuple(parse(text) for text in args.f) if args.f else None
     cfg = VerifyConfig(
         polynomials=polys,

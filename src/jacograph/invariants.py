@@ -10,6 +10,7 @@ maximum sits at h - 1 or h in one run, and the minimum at v_1 or v_n.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import le
 from typing import Iterator, NamedTuple
@@ -58,19 +59,18 @@ def _h_and_distance(g: JacoGraph) -> tuple[int, int | None]:
 
 def jaconian(g: JacoGraph) -> InvariantReport:
     """Read the invariant report of ``g`` off h = n - indeg(n): the maximum
-    degree's run is walked outward from v_{h-1} or v_h, whichever is larger."""
+    degree is that of v_{h-1} or v_h, whichever is larger, and its run ends
+    where two bisections find it, one in the non-decreasing degrees below h
+    and one in the non-increasing degrees from h."""
     n, indeg, reaches = g.n, g.in_degrees, g.reaches
 
     def degree(i: int) -> int:
         return indeg[i - 1] + min(reaches[i - 1], n) - i
 
     h, dist = _h_and_distance(g)
-    lo = hi = h - 1 if h > 1 and degree(h - 1) > degree(h) else h
-    top = degree(lo)
-    while lo > 1 and degree(lo - 1) == top:
-        lo -= 1
-    while hi < n and degree(hi + 1) == top:
-        hi += 1
+    top = max(degree(h - 1), degree(h)) if h > 1 else degree(h)
+    lo = 1 + bisect_left(range(1, h), top, key=degree)
+    hi = h - 1 + bisect_right(range(h, n + 1), -top, key=lambda i: -degree(i))
     return InvariantReport(
         max_degree=top,
         min_degree=min(degree(1), degree(n)),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jacograph import (
+    BraidedString,
     IncidencePolynomial,
     ProperColouring,
     SearchBudgetExceededError,
@@ -15,9 +16,13 @@ from jacograph import (
     colour_sum,
     greedy_min_sum,
     min_sum_colouring,
+    mu_min_two_block,
+    parse,
+    realize,
     reverse_colouring,
     underlying_graph,
 )
+from jacograph import chroma
 from jacograph.oracle import exhaustive_min_sum
 from conftest import non_decreasing_caps, product_sum_range, small_graphs
 
@@ -26,6 +31,12 @@ X2 = IncidencePolynomial(1, 0, 0)
 
 def jaco_underlying(n, p=X2):
     return underlying_graph(build(p, n))
+
+
+def stripped(g):
+    """The same graph without its interval certificate, so that every
+    colouring of it runs the searches."""
+    return SimpleGraph(g.order, g.adjacency, None)
 
 
 def test_chromatic_number_examples():
@@ -66,8 +77,7 @@ def test_chromatic_number_matches_exhaustive_partitions(g):
 def test_certificate_agrees_with_generic_search():
     for n in range(1, 16):
         g = jaco_underlying(n)
-        stripped = SimpleGraph(g.order, g.adjacency, None)
-        assert chromatic_number(g) == chromatic_number(stripped)
+        assert chromatic_number(g) == chromatic_number(stripped(g))
 
 
 def test_min_sum_examples():
@@ -109,7 +119,8 @@ def test_greedy_examples():
 def test_greedy_matches_exact_on_reference_family():
     for n in range(1, 21):
         g = jaco_underlying(n)
-        exact = min_sum_colouring(g)
+        # the certified graph gives both sides the same first-fit
+        exact = min_sum_colouring(stripped(g))
         greedy = greedy_min_sum(g)
         assert greedy.weights == exact.weights
         assert colour_sum(greedy) == colour_sum(exact)
@@ -176,17 +187,57 @@ def test_search_budget_raises():
     cycle9 = SimpleGraph.from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)])
     with pytest.raises(SearchBudgetExceededError):
         chromatic_number(cycle9, node_budget=2)
+    fifteen = jaco_underlying(15)
     with pytest.raises(SearchBudgetExceededError):
-        min_sum_colouring(jaco_underlying(15), node_budget=3)
+        min_sum_colouring(stripped(fifteen), node_budget=3)
     with pytest.raises(SearchBudgetExceededError):
-        greedy_min_sum(jaco_underlying(15), node_budget=3)
+        greedy_min_sum(stripped(fifteen), node_budget=3)
+    # with its certificate the graph is coloured without a search
+    assert min_sum_colouring(fifteen, node_budget=3) == min_sum_colouring(stripped(fifteen))
+    assert greedy_min_sum(fifteen, node_budget=3) == greedy_min_sum(stripped(fifteen))
 
 
 def test_deep_search_ends_in_budget_error():
     # both searches recurse once per vertex; past the recursion limit they
     # must stop with a budget error, not a RecursionError
     with pytest.raises(SearchBudgetExceededError, match="on 1000 vertices"):
-        greedy_min_sum(jaco_underlying(1000))
+        greedy_min_sum(stripped(jaco_underlying(1000)))
+
+
+def test_deep_braid_search_ends_in_budget_error():
+    braid = stripped(realize(BraidedString((600, 600), (1,))))
+    with pytest.raises(SearchBudgetExceededError, match="on 1199 vertices"):
+        chroma_report(braid)
+
+
+@given(non_decreasing_caps(max_order=14))
+@settings(max_examples=200, deadline=None)
+def test_certified_colourings_match_the_searches(caps):
+    g = SimpleGraph.from_intervals(caps)
+    assert min_sum_colouring(g) == min_sum_colouring(stripped(g))
+    assert greedy_min_sum(g) == greedy_min_sum(stripped(g))
+
+
+def test_unmet_bound_falls_back_to_the_search(monkeypatch):
+    monkeypatch.setattr(chroma, "_prefix_bound", lambda caps, k: -1)
+    for n in (6, 9, 12):
+        g = jaco_underlying(n)
+        assert min_sum_colouring(g) == min_sum_colouring(stripped(g))
+    with pytest.raises(SearchBudgetExceededError):
+        min_sum_colouring(jaco_underlying(12), node_budget=3)
+
+
+def test_certified_graphs_past_the_search_spend_no_nodes():
+    # each of these exhausts the partition search's default budget; a
+    # budget of 0 shows that the certified path runs no search at all
+    x2 = jaco_underlying(60)
+    colouring = min_sum_colouring(x2, node_budget=0)
+    assert ProperColouring.from_assignment(x2, colouring.assignment) == colouring
+    assert colour_sum(colouring) == 1449
+    assert chroma_report(jaco_underlying(24, parse("3")), node_budget=0).chi_minus == 60
+    braid = realize(BraidedString((20, 15), (7,)))
+    assert chroma_report(braid, node_budget=0).mu_minus == Fraction(123, 14)
+    assert mu_min_two_block(20, 15, 7) == Fraction(123, 14)
 
 
 @given(small_graphs())

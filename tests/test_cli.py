@@ -1,9 +1,10 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from jacograph import IncidencePolynomial, verify
+from jacograph import IncidencePolynomial, mu_min_two_block, verify
 from jacograph.cli import main
 
 
@@ -268,12 +269,18 @@ def test_verify_results_follow_the_property_order():
     assert [r.name for r in verify.run(cfg)] == list(verify.available_properties())
 
 
-def test_deep_braid_search_ends_in_budget_error(capsys):
+def test_deep_braid_gets_its_closed_form(capsys):
     code, out, err = run(capsys, "braided", "--orders", "600,600", "--overlaps", "1")
-    assert code == 3
+    assert code == 0
+    assert err == ""
+    assert Fraction(out.split("\t")[4]) == mu_min_two_block(600, 600, 1)
+
+
+def test_verify_rejects_colouring_order_below_one(capsys):
+    code, out, err = run(capsys, "verify", "--colouring-n", "0")
+    assert code == 1
     assert out == ""
-    assert err.startswith("error:") and "1199 vertices" in err
-    assert "Traceback" not in err
+    assert err == "error: --colouring-n must be >= 1, got 0\n"
 
 
 # sha256 of standard output, pinned so that a refactor keeps the bytes
