@@ -172,6 +172,14 @@ def out_degree_root(g: JacoGraph, i: int) -> int:
     return g.reach(i) - i
 
 
+def check_arc_budget(g: JacoGraph, budget: int) -> None:
+    """Raise :class:`ArcBudgetExceededError` when ``g`` has more than
+    ``budget`` arcs; counted off the in-degrees, so nothing is materialized."""
+    total = g.arc_count()
+    if total > budget:
+        raise ArcBudgetExceededError(f"{total} arcs exceed the budget of {budget}")
+
+
 def arcs(g: JacoGraph, budget: int = DEFAULT_ARC_BUDGET) -> list[tuple[int, int]]:
     """Materialize the arc set as a lexicographically sorted list.
 
@@ -179,8 +187,6 @@ def arcs(g: JacoGraph, budget: int = DEFAULT_ARC_BUDGET) -> list[tuple[int, int]
     memory, so the caller-declared ``budget`` caps the count and an
     :class:`ArcBudgetExceededError` is raised beyond it.
     """
-    total = g.arc_count()
-    if total > budget:
-        raise ArcBudgetExceededError(f"{total} arcs exceed the budget of {budget}")
+    check_arc_budget(g, budget)
     n = g.n
     return [(i, j) for i, r in enumerate(g.reaches, start=1) for j in range(i + 1, min(r, n) + 1)]

@@ -15,17 +15,23 @@ Computed (corrected) values are printed by default.  The
 published value wherever it differs from the computed one, so regenerated
 tables document the known misprints instead of hiding them.
 
-Exit codes: 0 success, 1 usage or input error, 2 verification failure,
-3 budget exceeded.
+Output goes to standard output, or to ``--out``.  ``export`` writes it one
+vertex at a time straight from the reaches, after checking the arc budget,
+so the arcs are never held in memory all at once.
+
+Exit codes: 0 success, 1 usage or input error, or output that cannot be
+written, 2 verification failure, 3 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .braided import (
@@ -33,7 +39,7 @@ from .braided import (
     mu_max_two_block_superseded,
     realize,
 )
-from .builder import DEFAULT_ARC_BUDGET, arcs, build
+from .builder import DEFAULT_ARC_BUDGET, build, check_arc_budget
 from .chroma import chroma_report, underlying_graph
 from .errors import (
     ArcBudgetExceededError,
@@ -43,7 +49,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .incidence import parse
-from .invariants import construction_table, underlying_degrees
+from .invariants import construction_table
 from .verify import X_SQUARED, VerifyConfig, available_properties, run as run_verify
 
 EXIT_OK = 0
@@ -69,13 +75,27 @@ def _fmt_weights(weights: tuple[int, ...]) -> str:
     return ",".join(str(w) for w in weights)
 
 
-def _write(args, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(args, pieces: Iterable[str]) -> None:
+    """Write text pieces to ``--out`` or standard output as they are made."""
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and not args.out:
+            # what the closed pipe refused stays buffered; send it nowhere,
+            # or the interpreter's final flush fails again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise _UsageError(f"cannot write the output: {exc}") from exc
+
+
+def _write_lines(args, lines: list[str]) -> None:
+    _write(args, ("\n".join(lines), "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +208,7 @@ def cmd_table1(args) -> int:
             published = _PUBLISHED_TABLE1_X2.get(row.index) if p == X_SQUARED else None
             fields.append(_errata_cell(published, _TABLE1_COLUMNS, cells))
         lines.append("\t".join(fields))
-    _write(args, lines)
+    _write_lines(args, lines)
     return EXIT_OK
 
 
@@ -215,7 +235,7 @@ def cmd_table3(args) -> int:
             published = _PUBLISHED_TABLE3_X2.get(i) if p == X_SQUARED else None
             fields.append(_errata_cell(published, _TABLE3_COLUMNS, cells))
         lines.append("\t".join(fields))
-    _write(args, lines)
+    _write_lines(args, lines)
     return EXIT_OK
 
 
@@ -241,8 +261,7 @@ def cmd_braided(args) -> int:
         )
     graph = realize(s)
     if args.format == "dot":
-        isolated = [v for v, mask in enumerate(graph.adjacency, start=1) if not mask]
-        _write(args, _dot_lines(isolated, graph.edges(), directed=False))
+        _write(args, _dot(graph.interval_caps, directed=False))
         return EXIT_OK
     report = chroma_report(graph)
     if report.var_minus != report.var_plus:
@@ -265,7 +284,7 @@ def cmd_braided(args) -> int:
         key = (max(orders), min(orders), overlaps[0]) if len(orders) == 2 else None
         computed = (_fmt_fraction(report.var_plus),)
         cells.append(_errata_cell(_PUBLISHED_BRAIDED.get(key), _BRAIDED_COLUMNS, computed))
-    _write(args, ["\t".join(cells)])
+    _write_lines(args, ["\t".join(cells)])
     return EXIT_OK
 
 
@@ -299,20 +318,39 @@ def cmd_verify(args) -> int:
         lines.append(f"{failed} of {len(results)} properties failed")
     else:
         lines.append(f"all {len(results)} properties passed ({total_checks} checks)")
-    _write(args, lines)
+    _write_lines(args, lines)
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def _dot_lines(
-    isolated: Iterable[int], arc_list: Iterable[tuple[int, int]], directed: bool
-) -> list[str]:
+def _dot(caps: Sequence[int], directed: bool) -> Iterator[str]:
+    """DOT text of the graph with arcs u -> v for u < v <= caps[u - 1], the
+    caps non-decreasing: the isolated vertices, then one piece per vertex
+    holding all of its arcs."""
     keyword, joiner = ("digraph", "->") if directed else ("graph", "--")
-    return [
-        f"{keyword} {{",
-        *(f"  v{v};" for v in isolated),
-        *(f"  v{u} {joiner} v{v};" for u, v in arc_list),
-        "}",
-    ]
+    names = [f"v{j};\n" for j in range(len(caps) + 1)]
+    yield f"{keyword} {{\n"
+    prev = 0
+    for u, cap in enumerate(caps, start=1):
+        if cap == u and prev < u:  # u reaches no one, and no earlier vertex reaches u
+            yield "  " + names[u]
+        prev = cap
+    for u, cap in enumerate(caps, start=1):
+        if cap > u:
+            head = f"  v{u} {joiner} "
+            yield head + head.join(names[u + 1:cap + 1])
+    yield "}\n"
+
+
+def _json_arcs(caps: Sequence[int]) -> Iterator[str]:
+    """The members of the JSON ``arcs`` array, [u, v] for u < v <= caps[u - 1],
+    one piece per vertex."""
+    names = [str(j) for j in range(len(caps) + 1)]
+    sep = ""
+    for u, cap in enumerate(caps, start=1):
+        if cap > u:
+            head = f"], [{u}, "
+            yield f"{sep}[{u}, {head.join(names[u + 1:cap + 1])}]"
+            sep = ", "
 
 
 def cmd_export(args) -> int:
@@ -320,22 +358,25 @@ def cmd_export(args) -> int:
     if args.n < 1:
         raise InvalidOrderError(f"--n must be >= 1, got {args.n}")
     g = build(p, args.n)
-    if args.format == "json":
-        obj = {
-            "incidence": {"a": p.a, "b": p.b, "c": p.c},
-            "n": g.n,
-            "vertices": [
-                {"i": i, "in_degree": g.in_degrees[i - 1], "reach": g.reaches[i - 1]}
-                for i in range(1, g.n + 1)
-            ],
-        }
-        if args.arcs:
-            obj["arcs"] = arcs(g, args.arc_budget)
-        _write(args, [json.dumps(obj)])
+    n = g.n
+    caps = [min(r, n) for r in g.reaches]
+    if args.format != "json" or args.arcs:
+        check_arc_budget(g, args.arc_budget)
+    if args.format != "json":
+        _write(args, _dot(caps, directed=args.format == "dot-directed"))
         return EXIT_OK
-    arc_list = arcs(g, args.arc_budget)
-    isolated = [i for i, d in enumerate(underlying_degrees(g), start=1) if d == 0]
-    _write(args, _dot_lines(isolated, arc_list, directed=args.format == "dot-directed"))
+    head = json.dumps({
+        "incidence": {"a": p.a, "b": p.b, "c": p.c},
+        "n": n,
+        "vertices": [
+            {"i": i, "in_degree": d, "reach": r}
+            for i, (d, r) in enumerate(zip(g.in_degrees, g.reaches), start=1)
+        ],
+    })
+    if args.arcs:  # spliced in before the closing brace, as the last key
+        _write(args, chain((head[:-1], ', "arcs": ['), _json_arcs(caps), ("]}\n",)))
+    else:
+        _write(args, (head, "\n"))
     return EXIT_OK
 
 

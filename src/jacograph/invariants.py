@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from operator import le
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .builder import JacoGraph, build
 from .errors import HopeNotCompleteError, JacoError, UnreachableVertexError
@@ -49,25 +50,29 @@ def underlying_degrees(g: JacoGraph) -> tuple[int, ...]:
     )
 
 
-def _h_and_distance(g: JacoGraph) -> tuple[int, int | None]:
-    """h = n - indeg(n) and the v1-distance: h (0 if n = 1), or None when the
-    chain v1 -> v2 -> ... breaks at some t < h with reach(t) <= t."""
-    h = g.n - g.in_degrees[-1]
-    broken = any(map(le, g.reaches, range(1, h)))
-    return h, None if broken else (h if g.n > 1 else 0)
+def _chain_break(reaches: Sequence[int], stop: int) -> int:
+    """The first t < stop with reach(t) <= t, where the stepwise chain
+    v1 -> v2 -> ... breaks, or stop when there is none."""
+    return next(compress(range(1, stop), map(le, reaches, range(1, stop))), stop)
 
 
-def jaconian(g: JacoGraph) -> InvariantReport:
-    """Read the invariant report of ``g`` off h = n - indeg(n): the maximum
-    degree is that of v_{h-1} or v_h, whichever is larger, and its run ends
-    where two bisections find it, one in the non-decreasing degrees below h
-    and one in the non-increasing degrees from h."""
-    n, indeg, reaches = g.n, g.in_degrees, g.reaches
+def _distance(n: int, h: int, chain_break: int) -> int | None:
+    """The v1-distance: h (0 if n = 1), or None when the chain breaks below h."""
+    return None if chain_break < h else (h if n > 1 else 0)
+
+
+def _read_off(
+    n: int, indeg: Sequence[int], reaches: Sequence[int], chain_break: int
+) -> InvariantReport:
+    """The report of the order-n graph whose vertex data start ``indeg`` and
+    ``reaches`` (they may run on past n; only the first n entries are read).
+    ``chain_break`` is the first chain break, or any value >= h when there is
+    none below h."""
 
     def degree(i: int) -> int:
         return indeg[i - 1] + min(reaches[i - 1], n) - i
 
-    h, dist = _h_and_distance(g)
+    h = n - indeg[n - 1]
     top = max(degree(h - 1), degree(h)) if h > 1 else degree(h)
     lo = 1 + bisect_left(range(1, h), top, key=degree)
     hi = h - 1 + bisect_right(range(h, n + 1), -top, key=lambda i: -degree(i))
@@ -77,8 +82,17 @@ def jaconian(g: JacoGraph) -> InvariantReport:
         jaconian_set=tuple(range(lo, hi + 1)),
         prime_jaconian=lo,
         hope_range=range(lo + 1, n + 1),
-        v1_distance=dist,
+        v1_distance=_distance(n, h, chain_break),
     )
+
+
+def jaconian(g: JacoGraph) -> InvariantReport:
+    """Read the invariant report of ``g`` off h = n - indeg(n): the maximum
+    degree is that of v_{h-1} or v_h, whichever is larger, and its run ends
+    where two bisections find it, one in the non-decreasing degrees below h
+    and one in the non-increasing degrees from h."""
+    h = g.n - g.in_degrees[-1]  # the chain only matters below h
+    return _read_off(g.n, g.in_degrees, g.reaches, _chain_break(g.reaches, h))
 
 
 def hope_subgraph(g: JacoGraph) -> range:
@@ -112,7 +126,8 @@ def v1_distance(g: JacoGraph) -> int:
     :class:`UnreachableVertexError` when the chain breaks before covering
     v_n, which happens exactly when v_n lies in a later component.
     """
-    dist = _h_and_distance(g)[1]
+    h = g.n - g.in_degrees[-1]
+    dist = _distance(g.n, h, _chain_break(g.reaches, h))
     if dist is None:
         raise UnreachableVertexError(f"no directed path from v1 to v{g.n}")
     return dist
@@ -193,16 +208,22 @@ def _prefixes(p: IncidencePolynomial, n: int) -> Iterator[JacoGraph]:
 def construction_table(p: IncidencePolynomial, n: int) -> Iterator[ConstructionRow]:
     """Yield the construction-table rows for orders 1..n.
 
-    Each row reports data of the order-i graph: the in-degree and root
-    out-degree of v_i, the Jaconian set and maximum degree of that graph,
-    and the stepwise v1-distance (None when unreachable).
+    Each row reports data of the order-k graph: the in-degree and root
+    out-degree of v_k, the Jaconian set and maximum degree of that graph,
+    and the stepwise v1-distance (None when unreachable).  Every row is
+    read off the one order-n build by index, with the first chain break
+    found once: row k's chain breaks before its h exactly when that break
+    lies below h.
     """
-    for g in _prefixes(p, n):
-        rep = jaconian(g)
+    full = build(p, n)
+    indeg, reaches = full.in_degrees, full.reaches
+    chain_break = _chain_break(reaches, n + 1)
+    for k in range(1, n + 1):
+        rep = _read_off(k, indeg, reaches, chain_break)
         yield ConstructionRow(
-            index=g.n,
-            in_degree=g.in_degrees[-1],
-            out_degree_root=g.reaches[-1] - g.n,
+            index=k,
+            in_degree=indeg[k - 1],
+            out_degree_root=reaches[k - 1] - k,
             jaconian_set=rep.jaconian_set,
             max_degree=rep.max_degree,
             v1_distance=rep.v1_distance,

@@ -1,11 +1,23 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jacograph import IncidencePolynomial, mu_min_two_block, verify
+from jacograph import (
+    IncidencePolynomial, SimpleGraph, build, builder, cli, invariants, mu_min_two_block, verify,
+)
 from jacograph.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+X2 = IncidencePolynomial(1, 0, 0)
 
 
 def run(capsys, *argv):
@@ -283,27 +295,211 @@ def test_verify_rejects_colouring_order_below_one(capsys):
     assert err == "error: --colouring-n must be >= 1, got 0\n"
 
 
-# sha256 of standard output, pinned so that a refactor keeps the bytes
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        ("table1 --f x^2 --n 35 --show-paper-errata",
-         "c84401c3ce43d653849d1b34872285057005f193293b62294e40063ffd0e6fc8"),
-        ("table1 --f x^2 --n 1000",
-         "45d134e35ccac744bfdf89afb3aa599f3cd3b472b768de50979f26e03a7d839f"),
-        ("table1 --f 3 --n 300",
-         "b62aaebc8a19e13b71545e2d904c47ca6d05b583385adfe3acc527680dab6ee9"),
-        ("table1 --f 0 --n 7",
-         "52f4f4eaf9e925a0dd21c9e213aa42ac3bee2aa47c0cd32cb18296d4a73561cf"),
-        ("table1 --f 2*x --n 300",
-         "6213e07fb1f51468c416125018eb316d390194a371cd20f4164f5c08bf5ed7cc"),
-        ("export --f 3 --n 11 --format dot-underlying",
-         "8f8fd1ecb9cdf9afd20559b97a513b1a0e2465b92fb605357bf7d3adad43214d"),
-        ("export --f 0 --n 5 --format dot-directed",
-         "02e09edc67c383780dcd2e314db5b154b19318c00a757ca0ae538484c99dab06"),
-    ],
+ZERO_OVERLAP_WARNING = (
+    "warning: overlap 0 joins blocks disjointly; the result is a disjoint"
+    " union rather than a braided string\n"
 )
-def test_output_bytes_are_pinned(capsys, argv, digest):
+
+
+# sha256 of standard output, pinned so that a refactor keeps the bytes
+PINNED = [
+    ("table1 --f x^2 --n 35 --show-paper-errata",
+     "c84401c3ce43d653849d1b34872285057005f193293b62294e40063ffd0e6fc8"),
+    ("table1 --f x^2 --n 1000",
+     "45d134e35ccac744bfdf89afb3aa599f3cd3b472b768de50979f26e03a7d839f"),
+    ("table1 --f 3 --n 300",
+     "b62aaebc8a19e13b71545e2d904c47ca6d05b583385adfe3acc527680dab6ee9"),
+    ("table1 --f 0 --n 7",
+     "52f4f4eaf9e925a0dd21c9e213aa42ac3bee2aa47c0cd32cb18296d4a73561cf"),
+    ("table1 --f 2*x --n 300",
+     "6213e07fb1f51468c416125018eb316d390194a371cd20f4164f5c08bf5ed7cc"),
+    ("export --f 3 --n 11 --format dot-underlying",
+     "8f8fd1ecb9cdf9afd20559b97a513b1a0e2465b92fb605357bf7d3adad43214d"),
+    ("export --f 0 --n 5 --format dot-directed",
+     "02e09edc67c383780dcd2e314db5b154b19318c00a757ca0ae538484c99dab06"),
+    ("export --f x^2 --n 1000 --format dot-directed",
+     "286549de721c43ed8f99c906c02244eafea2d212600e6f10b10991c8b72ec3f3"),
+    ("export --f x^2 --n 800 --format json --arcs",
+     "179fe7b791779e700fb770a75d667d1a811eb0b63de7cc7ca0e8036a95f74cd9"),
+    ("export --f 0 --n 5 --format json --arcs",
+     "ebd0fcf7db4be14c1ff12774c7aa0dfca385542edac7a07e08488f0c0a1ef999"),
+    ("export --f x^2 --n 1 --format json --arcs",
+     "2e318b0e14f96bb23ec177ffd7a139c5b443cd26038506a307297a4f48125630"),
+    ("braided --orders 7,5 --overlaps 3 --format dot",
+     "3be68ee5ef7b49f13149d6b6f5952ff4e3e2f34070aba6e86ab70fc998276998"),
+    ("braided --orders 3,1,3 --overlaps 0,0 --format dot",
+     "9fb27d092f48032a0ce101da5d228c0aeaebbf34b364a1aabc099511be34743a"),
+]
+
+
+def _assert_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, ZERO_OVERLAP_WARNING if "--overlaps 0" in argv else "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", PINNED)
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    _assert_pinned(capsys, argv, digest)
+
+
+@pytest.mark.parametrize(
+    "argv, digest", [(a, d) for a, d in PINNED if a.startswith("export") or "dot" in a]
+)
+def test_exports_materialize_no_arc_or_edge_list(capsys, monkeypatch, argv, digest):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the export materialized a list of arcs, edges or degrees")
+
+    for module in (builder, invariants, cli):  # wherever cli could take them from
+        for name in ("arcs", "underlying_degrees"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(SimpleGraph, "edges", refuse)
+    _assert_pinned(capsys, argv, digest)
+
+
+@pytest.mark.parametrize("existing", [None, "earlier contents\n"])
+@pytest.mark.parametrize("fmt", [["json", "--arcs"], ["dot-directed"], ["dot-underlying"]])
+def test_arc_budget_is_checked_before_the_output_is_opened(tmp_path, capsys, fmt, existing):
+    target = tmp_path / "graph.out"
+    if existing is not None:
+        target.write_text(existing)
+    code, out, err = run(capsys, "export", "--f", "x^2", "--n", "100", "--format", *fmt,
+                         "--arc-budget", "5", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err == f"error: {build(X2, 100).arc_count()} arcs exceed the budget of 5\n"
+    if existing is None:
+        assert not target.exists()
+    else:
+        assert target.read_text() == existing
+
+
+def _assert_one_output_error(code, err):
+    assert code == 1
+    assert err.startswith("error: cannot write the output: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_out_into_a_missing_directory_is_an_output_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "graph.dot"
+    code, out, err = run(capsys, "export", "--f", "x^2", "--n", "3",
+                         "--format", "dot-directed", "--out", str(target))
+    _assert_one_output_error(code, err)
+    assert out == ""
+    assert not target.parent.exists()
+
+
+def test_out_naming_a_directory_is_an_output_error(tmp_path, capsys):
+    code, out, err = run(capsys, "table1", "--f", "x^2", "--n", "3", "--out", str(tmp_path))
+    _assert_one_output_error(code, err)
+    assert out == ""
+
+
+def _python(args, **kwargs):
+    """Run a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    "table1 --f x^2 --n 3",  # small: fails at the flush
+    "export --f x^2 --n 300 --format dot-directed",  # fails while streaming
+])
+def test_closed_pipe_is_an_output_error(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before anything is written
+    try:
+        proc = _python(["-m", "jacograph", *argv.split()], stdout=write,
+                       stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    _assert_one_output_error(proc.returncode, proc.stderr)
+
+
+def _peak_rss_mb(argv):
+    """Peak resident set of a fresh interpreter that runs ``jaco argv``.
+
+    Read from VmHWM, the peak of the interpreter's own address space:
+    ru_maxrss would also carry the peak of this test process, which a child
+    inherits across fork and exec."""
+    probe = ("import sys; from jacograph.cli import main; code = main(sys.argv[1:]);"
+             " print(*[l for l in open('/proc/self/status') if l.startswith('VmHWM:')]);"
+             " sys.exit(code)")
+    proc = _python(["-c", probe, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    kib, unit = proc.stdout.split()[-2:]
+    assert unit == "kB"
+    return int(kib) / 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs procfs")
+def test_export_holds_no_more_than_a_vertex_at_a_time(tmp_path):
+    # 479,039 arcs in 7.6 MB of DOT; held whole, they cost about 94 MB more
+    export = _peak_rss_mb(["export", "--f", "x^2", "--n", "1000", "--format", "dot-directed",
+                           "--out", str(tmp_path / "graph.dot")])
+    baseline = _peak_rss_mb(["table1", "--f", "x^2", "--n", "3"])
+    assert export - baseline <= 25, (export, baseline)
+
+
+# --- the argv grammar: every drawn command line ends in a documented code ----
+
+_MISSING_DIR_OUT = str(SRC / "no-such-directory" / "out.txt")
+_VALID = ["x^2", "0", "1", "3", "x", "x+2", "2*x^2+x+2", "x^2+1"]
+_MALFORMED = ["x^^2", "x^3", "", "2*", "y", "-x", "x^2+", "99999999999999999999*x^2"]
+_POLYNOMIALS = st.one_of(
+    st.sampled_from(_VALID), st.sampled_from(_VALID + _MALFORMED), st.text(max_size=5)
+)
+_ORDERS = st.one_of(
+    st.integers(1, 60), st.integers(-2, 60), st.sampled_from(["", "x", "1.5"])
+).map(str)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["table1", "table3", "braided", "export", "verify"]))
+    out = draw(st.sampled_from([None, None, None, _MISSING_DIR_OUT]))
+    if command == "table1":
+        opts = {"--f": draw(_POLYNOMIALS), "--n": draw(_ORDERS),
+                "--show-paper-errata": draw(st.booleans())}
+    elif command == "table3":
+        opts = {"--f": draw(_POLYNOMIALS), "--n": draw(st.integers(-2, 12).map(str)),
+                "--weights": draw(st.booleans()), "--show-paper-errata": draw(st.booleans())}
+    elif command == "braided":
+        orders = draw(st.lists(st.integers(-1, 40), min_size=1, max_size=4)
+                      .filter(lambda o: sum(o) <= 40))
+        fitting = st.lists(st.integers(-1, 8), min_size=len(orders) - 1, max_size=len(orders) - 1)
+        overlaps = draw(fitting | fitting | st.lists(st.integers(-1, 8), max_size=4))
+        text = ",".join(map(str, orders))
+        opts = {
+            "--orders": draw(st.sampled_from([text, text, "7,x", ",", ""])),
+            "--overlaps": ",".join(map(str, overlaps)) if overlaps else None,
+            "--format": draw(st.sampled_from(["tsv", "dot"])),
+            "--erratum": draw(st.booleans()), "--show-paper-errata": draw(st.booleans()),
+        }
+    elif command == "export":
+        opts = {"--f": draw(_POLYNOMIALS), "--n": draw(_ORDERS),
+                "--format": draw(st.sampled_from(["json", "dot-directed", "dot-underlying"])),
+                "--arcs": draw(st.booleans()),
+                "--arc-budget": draw(st.sampled_from([None, None, "0", "5", "50", "100000"]))}
+    else:
+        opts = {"--prop": draw(st.sampled_from(verify.available_properties())),
+                "--n": draw(st.integers(-1, 5).map(str)),
+                "--colouring-n": draw(st.integers(-1, 4).map(str))}
+    # "=" keeps a value that starts with "-" from reading as an option
+    return [command, *(f"{flag}={value}" if isinstance(value, str) else flag
+                       for flag, value in {**opts, "--out": out}.items()
+                       if value is not None and value is not False)]
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_every_command_line_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (1, 3):
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
+    if _MISSING_DIR_OUT in argv[-1]:
+        assert code != 0

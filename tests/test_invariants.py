@@ -2,9 +2,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jacograph import (
+    ConstructionRow,
     HopeNotCompleteError,
     IncidencePolynomial,
     InvariantReport,
+    JacoGraph,
     UnreachableVertexError,
     arcs,
     build,
@@ -278,6 +280,22 @@ def test_construction_table_matches_reference_rows():
     assert rows[11].jaconian_set == (4, 5)
     assert rows[11].max_degree == 10
     assert rows[11].v1_distance == 4
+
+
+@given(polynomials(), st.integers(1, 300))
+@example(IncidencePolynomial(0, 0, 2), 10)
+@settings(max_examples=100)
+def test_construction_table_rows_match_each_literal_prefix(p, n):
+    full = build(p, n)
+    rows = construction_table(p, n)
+    for k in range(1, n + 1):
+        g = JacoGraph(p, k, full.in_degrees[:k], full.reaches[:k])
+        rep = jaconian(g)
+        assert next(rows) == ConstructionRow(
+            k, g.in_degree(k), g.reach(k) - k, rep.jaconian_set, rep.max_degree,
+            rep.v1_distance,
+        )
+    assert next(rows, None) is None
 
 
 @given(quadratic_polynomials(), st.integers(1, 60))
