@@ -15,9 +15,11 @@ Computed (corrected) values are printed by default.  The
 published value wherever it differs from the computed one, so regenerated
 tables document the known misprints instead of hiding them.
 
-Output goes to standard output, or to ``--out``.  ``export`` writes it one
-vertex at a time straight from the reaches, after checking the arc budget,
-so the arcs are never held in memory all at once.
+Output goes to standard output, or to ``--out``.  An ``--out`` whose
+directory is missing, or that names a directory, is refused before any
+work.  ``export`` writes it one vertex at a time straight from the reaches,
+after checking the arc budget, so the arcs are never held in memory all at
+once.
 
 Exit codes: 0 success, 1 usage or input error, or output that cannot be
 written, 2 verification failure, 3 budget exceeded.
@@ -26,6 +28,7 @@ written, 2 verification failure, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -72,7 +75,7 @@ def _fmt_fraction(q: Fraction) -> str:
 
 
 def _fmt_weights(weights: tuple[int, ...]) -> str:
-    return ",".join(str(w) for w in weights)
+    return ",".join(map(str, weights))
 
 
 def _write(args, pieces: Iterable[str]) -> None:
@@ -92,6 +95,22 @@ def _write(args, pieces: Iterable[str]) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         raise _UsageError(f"cannot write the output: {exc}") from exc
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an ``--out`` whose directory is missing or
+    that names a directory, with the error that opening it would give.
+    Nothing is created, so a later budget error leaves the path as it was."""
+    parent = os.path.dirname(path.rstrip(os.sep)) or "."
+    try:
+        if not os.path.isdir(parent):
+            os.stat(parent)  # raises for a missing parent
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        refused = OSError(exc.errno, exc.strerror, path)
+        raise _UsageError(f"cannot write the output: {refused}") from exc
 
 
 def _write_lines(args, lines: list[str]) -> None:
@@ -193,19 +212,22 @@ def cmd_table1(args) -> int:
     p = parse(args.f)
     if args.n < 1:
         raise InvalidOrderError(f"--n must be >= 1, got {args.n}")
+    names = list(map(str, range(args.n + 1)))
     lines = []
-    for row in construction_table(p, args.n):
-        dist = "-" if row.v1_distance is None else str(row.v1_distance)
+    for k, in_degree, out_degree_root, jaconian_set, max_degree, dist in construction_table(
+        p, args.n
+    ):
         cells = (
-            str(row.in_degree),
-            str(row.out_degree_root),
-            _fmt_weights(row.jaconian_set),
-            str(row.max_degree),
-            dist,
+            str(in_degree),
+            str(out_degree_root),
+            # one contiguous run, written by slicing the names
+            ",".join(names[jaconian_set[0]:jaconian_set[-1] + 1]),
+            str(max_degree),
+            "-" if dist is None else str(dist),
         )
-        fields = [str(row.index), *cells]
+        fields = [names[k], *cells]
         if args.show_paper_errata:
-            published = _PUBLISHED_TABLE1_X2.get(row.index) if p == X_SQUARED else None
+            published = _PUBLISHED_TABLE1_X2.get(k) if p == X_SQUARED else None
             fields.append(_errata_cell(published, _TABLE1_COLUMNS, cells))
         lines.append("\t".join(fields))
     _write_lines(args, lines)
@@ -444,6 +466,8 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (ArcBudgetExceededError, SearchBudgetExceededError, OrderTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,18 +2,42 @@
 
 Everything here works on the interval-compressed form: the underlying
 (undirected) degree of v_i is indeg(i) + min(reach(i), n) - i.  Reaches
-never decrease, so v_h..v_{n-1} reach v_n for h = n - indeg(n).  Below h
-the degree is f(i), which never decreases; from h on it is n - i + indeg(i),
-which never increases, as in-degrees grow by at most 1 per vertex.  So the
-maximum sits at h - 1 or h in one run, and the minimum at v_1 or v_n.
+never decrease, so the vertices below i that reach v_i form the run ending
+at v_{i-1}, and i - indeg(i) is the first vertex whose reach covers v_i.
+Hence, for every m >= 1,
+
+    i - indeg(i) <= m   exactly when   reach(m) >= i.
+
+So v_h..v_{n-1} reach v_n for h = n - indeg(n), and the vertices below h
+do not.  Below h the degree is f(i), which never decreases; from h on it
+is n - (i - indeg(i)), which never increases.  So the maximum degree Delta
+sits at h - 1 or h, and the Jaconian set is one run lo..hi around them:
+
+* lo is the first i below h with f(i) >= Delta (h if there is none), one
+  bisection over f;
+* hi needs no search: hi = min(n, reach(n - Delta)).  From h on,
+  deg(i) >= Delta exactly when i - indeg(i) <= n - Delta, that is when
+  reach(n - Delta) >= i (Delta <= n - 1, so n - Delta >= 1).  The run never
+  ends below h - 1: v_{h-1} does not reach v_n, so
+  f(h-1) < n - (h - 1 - indeg(h-1)), and deg(h) <= n - (h - 1 - indeg(h-1))
+  as i - indeg(i) never decreases; so Delta <= n - (h - 1 - indeg(h-1)) and
+  reach(n - Delta) >= h - 1.
+
+The minimum degree sits at v_1 or v_n.
+
+The stepwise chain v1 -> v2 -> ... breaks at the first t with
+reach(t) <= t, that is f(t) <= indeg(t).  If a + b >= 1, then
+f(t) >= t > indeg(t), so it never breaks.  Under constant incidence c, each
+v_t with t <= c + 1 has in-degree t - 1, as v_1..v_{t-1} all reach
+c + 1; so f(t) = c > indeg(t) below c + 1, indeg(c + 1) = c = f(c + 1), and
+the first break is at v_{c+1}.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
-from operator import le
+from operator import add, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .builder import JacoGraph, build
@@ -50,49 +74,61 @@ def underlying_degrees(g: JacoGraph) -> tuple[int, ...]:
     )
 
 
-def _chain_break(reaches: Sequence[int], stop: int) -> int:
-    """The first t < stop with reach(t) <= t, where the stepwise chain
-    v1 -> v2 -> ... breaks, or stop when there is none."""
-    return next(compress(range(1, stop), map(le, reaches, range(1, stop))), stop)
+def _chain_break(p: IncidencePolynomial) -> int | None:
+    """The first t with reach(t) <= t, where the stepwise chain
+    v1 -> v2 -> ... breaks, or None when it never does."""
+    return p.c + 1 if p.a == p.b == 0 else None
 
 
-def _distance(n: int, h: int, chain_break: int) -> int | None:
+def _distance(n: int, h: int, chain_break: int | None) -> int | None:
     """The v1-distance: h (0 if n = 1), or None when the chain breaks below h."""
-    return None if chain_break < h else (h if n > 1 else 0)
+    if chain_break is not None and chain_break < h:
+        return None
+    return h if n > 1 else 0
+
+
+class _Incidences:
+    """f(i) = indeg(i) + reach(i) - i at index i - 1, computed when read, so
+    that one bisection costs O(log n) without listing all n values."""
+
+    __slots__ = ("indeg", "reaches")
+
+    def __init__(self, indeg: Sequence[int], reaches: Sequence[int]):
+        self.indeg, self.reaches = indeg, reaches
+
+    def __getitem__(self, j: int) -> int:
+        return self.indeg[j] + self.reaches[j] - j - 1
 
 
 def _read_off(
-    n: int, indeg: Sequence[int], reaches: Sequence[int], chain_break: int
-) -> InvariantReport:
-    """The report of the order-n graph whose vertex data start ``indeg`` and
-    ``reaches`` (they may run on past n; only the first n entries are read).
-    ``chain_break`` is the first chain break, or any value >= h when there is
-    none below h."""
-
-    def degree(i: int) -> int:
-        return indeg[i - 1] + min(reaches[i - 1], n) - i
-
+    n: int, indeg: Sequence[int], reaches: Sequence[int], f: Sequence[int]
+) -> tuple[int, int, int, int]:
+    """(h, Delta, lo, hi) of the order-n graph whose vertex data start
+    ``indeg``, ``reaches`` and ``f`` (they may run on past n): h = n - indeg(n),
+    the maximum degree Delta and the Jaconian run lo..hi."""
     h = n - indeg[n - 1]
-    top = max(degree(h - 1), degree(h)) if h > 1 else degree(h)
-    lo = 1 + bisect_left(range(1, h), top, key=degree)
-    hi = h - 1 + bisect_right(range(h, n + 1), -top, key=lambda i: -degree(i))
-    return InvariantReport(
-        max_degree=top,
-        min_degree=min(degree(1), degree(n)),
-        jaconian_set=tuple(range(lo, hi + 1)),
-        prime_jaconian=lo,
-        hope_range=range(lo + 1, n + 1),
-        v1_distance=_distance(n, h, chain_break),
-    )
+    top = indeg[h - 1] + n - h  # v_h reaches v_n
+    if h > 1 and f[h - 2] > top:
+        top = f[h - 2]
+    lo = 1 + bisect_left(f, top, 0, h - 1)
+    hi = min(n, reaches[n - top - 1])
+    return h, top, lo, hi
 
 
 def jaconian(g: JacoGraph) -> InvariantReport:
     """Read the invariant report of ``g`` off h = n - indeg(n): the maximum
-    degree is that of v_{h-1} or v_h, whichever is larger, and its run ends
-    where two bisections find it, one in the non-decreasing degrees below h
-    and one in the non-increasing degrees from h."""
-    h = g.n - g.in_degrees[-1]  # the chain only matters below h
-    return _read_off(g.n, g.in_degrees, g.reaches, _chain_break(g.reaches, h))
+    degree is that of v_{h-1} or v_h, whichever is larger; its run starts
+    where one bisection over f finds it and ends at min(n, reach(n - Delta))."""
+    n, indeg, reaches = g.n, g.in_degrees, g.reaches
+    h, top, lo, hi = _read_off(n, indeg, reaches, _Incidences(indeg, reaches))
+    return InvariantReport(
+        max_degree=top,
+        min_degree=min(indeg[0] + min(reaches[0], n) - 1, indeg[n - 1]),
+        jaconian_set=tuple(range(lo, hi + 1)),
+        prime_jaconian=lo,
+        hope_range=range(lo + 1, n + 1),
+        v1_distance=_distance(n, h, _chain_break(g.incidence)),
+    )
 
 
 def hope_subgraph(g: JacoGraph) -> range:
@@ -126,8 +162,7 @@ def v1_distance(g: JacoGraph) -> int:
     :class:`UnreachableVertexError` when the chain breaks before covering
     v_n, which happens exactly when v_n lies in a later component.
     """
-    h = g.n - g.in_degrees[-1]
-    dist = _distance(g.n, h, _chain_break(g.reaches, h))
+    dist = _distance(g.n, g.n - g.in_degrees[-1], _chain_break(g.incidence))
     if dist is None:
         raise UnreachableVertexError(f"no directed path from v1 to v{g.n}")
     return dist
@@ -211,20 +246,17 @@ def construction_table(p: IncidencePolynomial, n: int) -> Iterator[ConstructionR
     Each row reports data of the order-k graph: the in-degree and root
     out-degree of v_k, the Jaconian set and maximum degree of that graph,
     and the stepwise v1-distance (None when unreachable).  Every row is
-    read off the one order-n build by index, with the first chain break
-    found once: row k's chain breaks before its h exactly when that break
-    lies below h.
+    read off the one order-n build by index, with f listed once, so a row
+    costs one bisection over that list and O(1) further work besides its
+    Jaconian set.
     """
     full = build(p, n)
     indeg, reaches = full.in_degrees, full.reaches
-    chain_break = _chain_break(reaches, n + 1)
+    f = list(map(sub, map(add, indeg, reaches), range(1, n + 1)))
+    chain_break = _chain_break(p)
     for k in range(1, n + 1):
-        rep = _read_off(k, indeg, reaches, chain_break)
+        h, top, lo, hi = _read_off(k, indeg, reaches, f)
         yield ConstructionRow(
-            index=k,
-            in_degree=indeg[k - 1],
-            out_degree_root=reaches[k - 1] - k,
-            jaconian_set=rep.jaconian_set,
-            max_degree=rep.max_degree,
-            v1_distance=rep.v1_distance,
+            k, indeg[k - 1], reaches[k - 1] - k, tuple(range(lo, hi + 1)), top,
+            _distance(k, h, chain_break),
         )

@@ -313,6 +313,16 @@ PINNED = [
      "52f4f4eaf9e925a0dd21c9e213aa42ac3bee2aa47c0cd32cb18296d4a73561cf"),
     ("table1 --f 2*x --n 300",
      "6213e07fb1f51468c416125018eb316d390194a371cd20f4164f5c08bf5ed7cc"),
+    ("table1 --f 1 --n 300",
+     "155a57d95bfb24412df8e16dcbc611a83e7e508a33f8e572bcba72d316f6b3a6"),
+    ("table1 --f x+2 --n 500",
+     "c302e4b95aec6a727724a65c0b6162fdeba56542b516b677b989567e9e60f3dd"),
+    ("table1 --f 3*x^2 --n 700",
+     "ee69e013a1d7dae961110b42292443858ade89bc2d51d565f0a1ecd6cfd7976d"),
+    ("table1 --f x --n 2000",
+     "229e6ea5a68ebfba48407a7a9b5306de7cf36f0284a76b45c6929ce0c94eb721"),
+    ("table1 --f 2*x+1 --n 999",
+     "0987ac87125b8ee9458981475e858674c18b41307c8ea3c869db72587bc91acc"),
     ("export --f 3 --n 11 --format dot-underlying",
      "8f8fd1ecb9cdf9afd20559b97a513b1a0e2465b92fb605357bf7d3adad43214d"),
     ("export --f 0 --n 5 --format dot-directed",
@@ -390,6 +400,20 @@ def test_out_into_a_missing_directory_is_an_output_error(tmp_path, capsys):
 
 def test_out_naming_a_directory_is_an_output_error(tmp_path, capsys):
     code, out, err = run(capsys, "table1", "--f", "x^2", "--n", "3", "--out", str(tmp_path))
+    _assert_one_output_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["table1", "--f", "x^2", "--n", "3"]])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, where):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command computed before it checked --out")
+
+    monkeypatch.setattr(cli, "run_verify", refuse)
+    monkeypatch.setattr(cli, "construction_table", refuse)
+    target = tmp_path / "missing" / "out.txt" if where == "missing" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
     _assert_one_output_error(code, err)
     assert out == ""
 
