@@ -66,17 +66,12 @@ def realize(s: BraidedString) -> SimpleGraph:
 
     Block j occupies the contiguous index range starting where block j-1
     has l_{j-1} vertices left, so consecutive blocks share exactly their
-    boundary vertices and non-consecutive blocks are disjoint.
+    boundary vertices and non-consecutive blocks are disjoint.  The n_j -
+    l_j vertices of block j outside block j+1 reach the end of block j.
     """
-    starts = [1]
-    for n, l in zip(s.orders, s.overlaps):
-        starts.append(starts[-1] + n - l)
-    total = starts[-1] + s.orders[-1] - 1
-    caps = [0] * total
-    for start, n in zip(starts, s.orders):
-        end = start + n - 1
-        for v in range(start, end + 1):
-            caps[v - 1] = end  # later blocks have larger ends, overwriting is max
+    caps: list[int] = []
+    for n, l in zip(s.orders, (*s.overlaps, 0)):
+        caps += [len(caps) + n] * (n - l)
     return SimpleGraph.from_intervals(caps)
 
 

@@ -28,31 +28,33 @@ the largest window, max(cap(u) - u) + 1, read off in O(n).  For graphs
 without the certificate, chi is the first k, counting up from a greedy
 clique bound, for which the partition search finds k classes.
 
-Certified graphs are coloured without a search.  First-fit in index
-order gives each vertex the least colour no earlier neighbour holds; on
-intervals sorted by left end it uses exactly chi colours, and it is the
-lexicographically smallest proper assignment of all, since each vertex
-takes the least colour its prefix allows.  Its sum is then checked
-against a lower bound.  Let alpha_j be the largest number of intervals
-[u, cap(u)] covering no point more than j times (the largest subgraph j
-colours can colour), found greedily by right end (Yannakakis and Gavril
-1987; Carlisle and Lloyd 1995).  A chi-colouring whose first j classes
-hold W_j vertices has colour sum chi*n - sum_{j<chi} W_j, and W_j <=
-alpha_j, so the sum is at least chi*n - sum_{j<chi} alpha_j.  When
-first-fit meets this bound every optimum has W_j = alpha_j, so the
-optimal weight vector is unique, and first-fit, being lexicographically
-smallest, is exactly the canonical colouring above.  Otherwise the
-partition search runs, as min-sum colouring is NP-hard on interval
-graphs in general (Marx 2005).  The search itself is practical up to
-roughly 25 vertices.
+Certified graphs are coloured by first-fit in index order, with no
+search: each vertex takes the least colour no earlier neighbour holds.  On
+intervals sorted by left end this uses exactly chi colours, and it is the
+lexicographically smallest proper assignment of all.  It is also optimal.
+Caps never decrease, so the earlier neighbours of v (the earlier vertices
+whose caps reach v) form a clique with distinct colours, and v gets a
+colour <= j exactly when fewer than j of them hold one.  The greedy by
+right end for alpha_j, the most intervals [u, cap(u)] covering no point
+more than j times (Yannakakis and Gavril 1987; Carlisle and Lloyd 1995),
+takes v exactly when fewer than j chosen intervals cover v.  By induction
+on v, first-fit's colours 1..j are the greedy's set, so W_j = alpha_j for
+every j.  A chi-colouring whose first j classes hold W_j <= alpha_j
+vertices has sum chi*n - sum_{j<chi} W_j, so first-fit is optimal, its
+weight vector is the only optimal one, and it is the canonical colouring
+above.  Min-sum colouring is NP-hard on interval graphs in general (Marx
+2005), not on proper ones; other graphs go through the partition search,
+practical up to roughly 25 vertices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import ge, le, sub
 from typing import Iterable, Iterator
 
 from .builder import JacoGraph
@@ -68,6 +70,27 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class _Masks:
+    """The ``adjacency`` field of :class:`SimpleGraph`.  Masks given as None
+    are derived from the caps when first read: v's closed neighbourhood is
+    lo..cap(v), where lo, the first vertex whose cap reaches v, only grows."""
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            raise AttributeError("adjacency")  # so the field has no default
+        if graph._masks is None:
+            caps, masks, lo = graph.interval_caps, [], 1
+            for v, cap in enumerate(caps, start=1):
+                while caps[lo - 1] < v:
+                    lo += 1
+                masks.append((1 << cap) - (1 << (lo - 1)) - (1 << (v - 1)))
+            self.__set__(graph, tuple(masks))
+        return graph._masks
+
+    def __set__(self, graph, masks):
+        object.__setattr__(graph, "_masks", masks)
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph on vertices 1..order.
@@ -75,11 +98,12 @@ class SimpleGraph:
     ``adjacency[v - 1]`` is a bitmask with bit (u - 1) set when u ~ v.
     ``interval_caps``, when present, certifies proper interval structure:
     the caps are non-decreasing and u ~ v for u < v exactly when
-    v <= interval_caps[u - 1].
+    v <= interval_caps[u - 1].  A certified graph may leave its masks out
+    (None), as the certified paths never read them.
     """
 
     order: int
-    adjacency: tuple[int, ...]
+    adjacency: tuple[int, ...] | None = _Masks()
     interval_caps: tuple[int, ...] | None = None
 
     @classmethod
@@ -100,25 +124,21 @@ class SimpleGraph:
     def from_intervals(cls, caps: Iterable[int]) -> "SimpleGraph":
         """Build the proper interval graph where u ~ v (u < v) iff v <= caps[u-1].
 
-        The caps must be non-decreasing, with caps[u-1] in u..order.  The
-        closed neighbourhood of v is then the range lo..caps[v-1], where lo
-        is the first vertex whose cap reaches v and only moves forward.
+        The caps must be non-decreasing, with caps[u-1] in u..order.  Only
+        the caps are stored.
         """
         caps = tuple(caps)
         order = len(caps)
         if order < 1:
             raise ValueError("at least one vertex required")
-        masks = []
-        lo = 1
-        for v, cap in enumerate(caps, start=1):
-            if not v <= cap <= order:
-                raise ValueError(f"cap of vertex {v} must lie in {v}..{order}, got {cap}")
-            if v > 1 and cap < caps[v - 2]:
-                raise ValueError(f"caps must be non-decreasing, got {caps[v - 2]} then {cap}")
-            while caps[lo - 1] < v:
-                lo += 1
-            masks.append((1 << cap) - (1 << (lo - 1)) - (1 << (v - 1)))
-        return cls(order, tuple(masks), caps)
+        in_range = all(map(ge, caps, range(1, order + 1))) and caps[-1] <= order
+        if not (in_range and all(map(le, caps, caps[1:]))):
+            for v, cap in enumerate(caps, start=1):
+                if not v <= cap <= order:
+                    raise ValueError(f"cap of vertex {v} must lie in {v}..{order}, got {cap}")
+                if v > 1 and cap < caps[v - 2]:
+                    raise ValueError(f"caps must be non-decreasing, got {caps[v - 2]} then {cap}")
+        return cls(order, None, caps)
 
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
@@ -140,14 +160,17 @@ class SimpleGraph:
                 yield (u, u + 1 + b)
 
     def edge_count(self) -> int:
+        if self.interval_caps is not None:  # the sum of cap(u) - u
+            return sum(self.interval_caps) - self.order * (self.order + 1) // 2
         return sum(m.bit_count() for m in self.adjacency) // 2
 
 
 def underlying_graph(g: JacoGraph) -> SimpleGraph:
     """Underlying undirected graph of a Jaco graph, with its interval
     certificate (vertex i covers indices i .. min(reach(i), n))."""
-    n = g.n
-    return SimpleGraph.from_intervals(min(r, n) for r in g.reaches)
+    n, reaches = g.n, g.reaches
+    i = bisect_left(reaches, n)  # the reaches never decrease
+    return SimpleGraph.from_intervals(reaches[:i] + (n,) * (n - i))
 
 
 @dataclass(frozen=True)
@@ -220,15 +243,20 @@ class ChromaticReport:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("limit", "left", "order", "k")
 
-    def __init__(self, limit: int):
-        self.left = limit
+    def __init__(self, limit: int, order: int):
+        self.limit = self.left = limit
+        self.order = order
+        self.k: int | None = None  # set by a partition search, for the error
 
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
-            raise SearchBudgetExceededError("exact search exceeded its node budget")
+            k = "" if self.k is None else f" with k = {self.k}"
+            raise SearchBudgetExceededError(
+                f"exact search on {self.order} vertices{k} spent its node budget of {self.limit}"
+            )
 
 
 def _greedy_clique(adj: tuple[int, ...], n: int) -> int:
@@ -256,8 +284,8 @@ def chromatic_number(graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGE
     raised when the instance is too hard for it.
     """
     if graph.interval_caps is not None:
-        return max(cap - u for u, cap in enumerate(graph.interval_caps, start=1)) + 1
-    budget = _Budget(node_budget)
+        return max(map(sub, graph.interval_caps, range(1, graph.order + 1))) + 1
+    budget = _Budget(node_budget, graph.order)
     k = _greedy_clique(graph.adjacency, graph.order)
     while _PartitionSearch(graph, k, budget, first=True).run() is None:
         k += 1
@@ -286,7 +314,7 @@ class _PartitionSearch:
     def __init__(self, graph: SimpleGraph, k: int, budget: _Budget, first: bool = False):
         self.adj = graph.adjacency
         self.n = graph.order
-        self.k = k
+        self.k = budget.k = k
         self.budget = budget
         self.first = first
         self.order = sorted(range(self.n), key=lambda v: (-self.adj[v].bit_count(), v))
@@ -397,25 +425,6 @@ def _first_fit(caps: tuple[int, ...]) -> ProperColouring:
     return ProperColouring(tuple(assignment), len(weights), tuple(weights))
 
 
-def _prefix_bound(caps: tuple[int, ...], k: int) -> int:
-    """k*n - sum_{j<k} alpha_j, a lower bound on the colour sum of every
-    k-colouring of the certified graph.
-
-    alpha_j comes from one greedy pass by right end: vertex u joins when
-    fewer than j chosen intervals still cover u (their caps reach u).
-    """
-    total = k * len(caps)
-    for j in range(1, k):
-        chosen: deque[int] = deque()
-        for u, cap in enumerate(caps, start=1):
-            while chosen and chosen[0] < u:
-                chosen.popleft()
-            if len(chosen) < j:
-                chosen.append(cap)
-                total -= 1
-    return total
-
-
 def min_sum_colouring(
     graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> ProperColouring:
@@ -425,17 +434,14 @@ def min_sum_colouring(
     greatest weight vector, and among those the lexicographically smallest
     vertex-to-colour assignment.  The weight vector is non-increasing
     (larger classes on smaller colour indices is forced by optimality).
-    An interval-certified graph gets its first-fit colouring when that
-    meets the prefix bound (see the module docstring), spending no search
-    nodes; otherwise the partition search runs.
+    An interval-certified graph gets its first-fit colouring, which is
+    optimal there (see the module docstring), spending no search nodes;
+    every other graph runs the partition search.
     """
+    if graph.interval_caps is not None:
+        return _first_fit(graph.interval_caps)
     k = chromatic_number(graph, node_budget)
-    caps = graph.interval_caps
-    if caps is not None:
-        colouring = _first_fit(caps)
-        if colour_sum(colouring) == _prefix_bound(caps, k):
-            return colouring
-    found = _PartitionSearch(graph, k, _Budget(node_budget)).run()
+    found = _PartitionSearch(graph, k, _Budget(node_budget, graph.order)).run()
     if found is None:
         # impossible when k = chi(G); guards an inconsistent caller
         raise JacoError(f"no partition into {k} independent classes exists")
@@ -505,7 +511,7 @@ def greedy_min_sum(
     if graph.interval_caps is not None:
         return _first_fit(graph.interval_caps)
     adj = graph.adjacency
-    budget = _Budget(node_budget)
+    budget = _Budget(node_budget, graph.order)
     remaining = (1 << graph.order) - 1
     assignment = [0] * graph.order
     weights = []
@@ -525,25 +531,22 @@ def chroma_report(
 ) -> ChromaticReport:
     """Full chromatic-sum report.
 
-    chi-plus and the maximum-side weights come from the colour-reversal
-    bijection ((chi+1)*n - chi_minus and the reversed weight vector), which
-    matches a direct maximum search by the reversal argument.
+    The maximum side is read off the minimum by the colour reversal c ->
+    chi + 1 - c: the weights reverse, the mean reflects about (chi + 1) / 2
+    and the variance stays.
     """
     minimum = min_sum_colouring(graph, node_budget)
-    maximum = reverse_colouring(minimum)
-    n = graph.order
     chi = minimum.k
     chi_minus = colour_sum(minimum)
     mu_minus, var_minus = chromatic_stats(minimum)
-    mu_plus, var_plus = chromatic_stats(maximum)
     return ChromaticReport(
         chi=chi,
         chi_minus=chi_minus,
-        chi_plus=(chi + 1) * n - chi_minus,
+        chi_plus=(chi + 1) * graph.order - chi_minus,
         weights_min=minimum.weights,
-        weights_max=maximum.weights,
+        weights_max=minimum.weights[::-1],
         mu_minus=mu_minus,
-        mu_plus=mu_plus,
+        mu_plus=chi + 1 - mu_minus,
         var_minus=var_minus,
-        var_plus=var_plus,
+        var_plus=var_minus,
     )

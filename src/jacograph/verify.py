@@ -388,14 +388,16 @@ def prop_complete_graph_sums(cfg: VerifyConfig, res: PropertyResult) -> None:
 def prop_reversal_identity(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.oracle_polys():
         for n in range(1, cfg.colouring_n_max + 1):
-            report = chroma.chroma_report(chroma.underlying_graph(build(p, n)))
+            underlying = chroma.underlying_graph(build(p, n))
+            report = chroma.chroma_report(underlying)
             res.check(
                 report.chi_minus + report.chi_plus == (report.chi + 1) * n,
                 f"{_label(p)}, n={n}: reversal identity broken",
             )
+            maximum = chroma.reverse_colouring(chroma.min_sum_colouring(underlying))
             res.check(
-                report.mu_plus == (report.chi + 1) - report.mu_minus
-                and report.var_plus == report.var_minus,
+                (report.mu_plus, report.var_plus) == chroma.chromatic_stats(maximum)
+                and report.weights_max == maximum.weights,
                 f"{_label(p)}, n={n}: reversed-colouring statistics relation broken",
             )
 

@@ -1,7 +1,9 @@
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jacograph import (
     BraidedString,
@@ -22,7 +24,6 @@ from jacograph import (
     reverse_colouring,
     underlying_graph,
 )
-from jacograph import chroma
 from jacograph.oracle import exhaustive_min_sum
 from conftest import non_decreasing_caps, product_sum_range, small_graphs
 
@@ -185,8 +186,9 @@ def test_search_budget_raises():
     # odd cycle: no interval certificate and a clique bound (2) below chi
     # (3), so the partition search must actually run and hit the budget
     cycle9 = SimpleGraph.from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)])
-    with pytest.raises(SearchBudgetExceededError):
+    with pytest.raises(SearchBudgetExceededError) as info:
         chromatic_number(cycle9, node_budget=2)
+    assert str(info.value) == "exact search on 9 vertices with k = 2 spent its node budget of 2"
     fifteen = jaco_underlying(15)
     with pytest.raises(SearchBudgetExceededError):
         min_sum_colouring(stripped(fifteen), node_budget=3)
@@ -218,13 +220,34 @@ def test_certified_colourings_match_the_searches(caps):
     assert greedy_min_sum(g) == greedy_min_sum(stripped(g))
 
 
-def test_unmet_bound_falls_back_to_the_search(monkeypatch):
-    monkeypatch.setattr(chroma, "_prefix_bound", lambda caps, k: -1)
-    for n in (6, 9, 12):
-        g = jaco_underlying(n)
-        assert min_sum_colouring(g) == min_sum_colouring(stripped(g))
-    with pytest.raises(SearchBudgetExceededError):
-        min_sum_colouring(jaco_underlying(12), node_budget=3)
+def alpha_greedy(caps, j):
+    """The vertices of the largest subgraph j colours can colour, by the
+    greedy by right end: u joins when fewer than j chosen intervals still
+    cover u (their caps reach u)."""
+    taken = []
+    covering = deque()  # caps of the chosen intervals, ascending
+    for u, cap in enumerate(caps, start=1):
+        while covering and covering[0] < u:
+            covering.popleft()
+        if len(covering) < j:
+            covering.append(cap)
+            taken.append(u)
+    return taken
+
+
+@given(non_decreasing_caps())
+@example(list(jaco_underlying(150).interval_caps))
+@example(list(realize(BraidedString((600, 600), (1,))).interval_caps))
+@settings(max_examples=200, deadline=None)
+def test_first_fit_classes_are_the_greedy_alpha_sets(caps):
+    # the optimality lemma of the certified path: the first j classes
+    # are the alpha_j greedy's set, so W_j = alpha_j for every j
+    g = SimpleGraph.from_intervals(caps)
+    colouring = min_sum_colouring(g)
+    assert colouring.k == chromatic_number(g)
+    for j in range(1, colouring.k + 1):
+        low = [v for v, c in enumerate(colouring.assignment, start=1) if c <= j]
+        assert low == alpha_greedy(caps, j)
 
 
 def test_certified_graphs_past_the_search_spend_no_nodes():
@@ -260,8 +283,8 @@ def test_solver_matches_literal_product_enumeration(g):
     assert report.weights_min == weights
 
 
-@given(small_graphs())
-@settings(max_examples=120, deadline=None)
+@given(st.one_of(small_graphs(), non_decreasing_caps().map(SimpleGraph.from_intervals)))
+@settings(max_examples=200, deadline=None)
 def test_reversal_identity_and_stats(g):
     report = chroma_report(g)
     n = g.order
@@ -270,6 +293,12 @@ def test_reversal_identity_and_stats(g):
     assert report.mu_minus == Fraction(report.chi_minus, n)
     assert report.mu_plus == Fraction(report.chi_plus, n)
     assert report.weights_max == tuple(reversed(report.weights_min))
+    # the report reads the maximum side off the minimum; compare it with
+    # the statistics of the literally reversed colouring
+    maximum = reverse_colouring(min_sum_colouring(g))
+    assert (report.mu_plus, report.var_plus) == chromatic_stats(maximum)
+    assert report.weights_max == maximum.weights
+    assert report.chi_plus == colour_sum(maximum)
 
 
 @given(small_graphs())
@@ -301,8 +330,39 @@ def test_from_intervals_matches_per_edge_reference(caps):
             masks[u - 1] |= 1 << (v - 1)
             masks[v - 1] |= 1 << (u - 1)
     g = SimpleGraph.from_intervals(caps)
+    # the certified count reads the caps; the stripped copy counts mask bits
+    assert g.edge_count() == stripped(g).edge_count()
     assert g.adjacency == tuple(masks)
     assert g.interval_caps == tuple(caps)
+
+
+def test_certified_report_builds_no_masks():
+    # the masks of x^2 at n = 20,000 alone would hold about 54 MB
+    tracemalloc.start()
+    try:
+        chroma_report(jaco_underlying(20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize(
+    "caps, message",
+    [
+        ([], "at least one vertex required"),
+        ([1, 3, 4], "cap of vertex 3 must lie in 3..3, got 4"),
+        ([1, 1], "cap of vertex 2 must lie in 2..2, got 1"),
+        ([3, 2, 3], "caps must be non-decreasing, got 3 then 2"),
+        # both faults in one input: the first vertex at fault is named
+        ([3, 2, 4], "caps must be non-decreasing, got 3 then 2"),
+        ([2, 4, 3], "cap of vertex 2 must lie in 2..3, got 4"),
+    ],
+)
+def test_from_intervals_error_messages(caps, message):
+    with pytest.raises(ValueError) as info:
+        SimpleGraph.from_intervals(caps)
+    assert str(info.value) == message
 
 
 @given(non_decreasing_caps())
