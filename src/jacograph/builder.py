@@ -13,17 +13,40 @@ is the largest index v_i sends an arc to.  Arcs are interval-compressed:
 a built graph stores only in-degrees and reaches, and the arc set
 ``{(i, j) : i < j <= min(reach(i), n)}`` is materialized on demand.
 
-In-degree accounting uses a difference array over reach endpoints: vertex
-i contributes +1 to the in-degrees of i+1 .. reach(i), entered as a +1 at
-i+1 and a -1 past the endpoint, so the whole build is O(n) regardless of
-how many arcs the graph has.
+Vertices are computed a block at a time from one recurrence.  Call i
+marked when i = reach(j) for some vertex j.  For a + b >= 1 every vertex
+reaches past itself, as indeg(i) <= i - 1 < i <= f(i).  So the in-arcs of
+v_{i+1} are those of v_i, less the ones from vertices whose reach is
+exactly i, plus the arc from v_i:
+
+    indeg(i+1) = indeg(i) + 1 - #{j : reach(j) = i},
+    reach(i+1) - reach(i) = f(i+1) - f(i) + #{j : reach(j) = i}
+                         >= a*(2i + 1) + b >= 1.
+
+The reaches strictly increase, so at most one vertex reaches exactly i and
+the count is mark(i), 0 or 1.  Hence once v_1..v_lo are known, every reach
+up to reach(lo) belongs to one of them, so mark(i) is known for every
+i <= reach(lo), and with it the in-degrees of v_{lo+1}..v_{reach(lo)+1}.
+A block lists its marks in a ``bytearray``, turns them into the steps
+1 - mark(i) with ``bytes.translate``, and sums them with one
+``accumulate``; i + f(i) is another ``accumulate`` over its forward
+differences a*(2i + 1) + b + 1, and each reach is i + f(i) - indeg(i).
+The first vertices are stepped one at a time, where blocks would be short.
+
+Constant incidence (a = b = 0) needs no recurrence.  Each v_t with
+t <= c + 1 has in-degree t - 1, as v_1..v_{t-1} all reach c + 1, so
+reach(t) = c + 1: nothing reaches v_{c+2}, which starts afresh as v_1 did.
+The graph repeats blocks of c + 1 with indeg(i) = (i - 1) mod (c + 1) and
+reach(i) = i - indeg(i) + c.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, count, cycle, islice, repeat
+from operator import sub
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -35,6 +58,14 @@ from .errors import (
 from .incidence import INT64_MAX, IncidencePolynomial, evaluate
 
 DEFAULT_ARC_BUDGET = 10_000_000
+
+# Vertices below this are stepped one at a time: there the blocks are
+# short, and a block's fixed cost exceeds the per-vertex step.
+_STEPPED = 64
+# The stream's longest block, so it computes at most this many records
+# beyond what its consumer takes.
+_STREAM_BLOCK = 4096
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # mark(i) -> 1 - mark(i)
 
 
 class VertexRecord(NamedTuple):
@@ -102,65 +133,98 @@ class JacoGraph:
         return sum(self.in_degrees)  # each arc once, at its head
 
 
+def _blocks(
+    p: IncidencePolynomial, stop: int, cap: int
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield the in-degrees and reaches of v_1..v_{stop-1}, in consecutive
+    blocks of at most ``cap`` vertices (the stepped first block excepted).
+
+    Between blocks only the reach lists that can still mark a vertex are
+    kept: a list is dropped once all its reaches fall below the block."""
+    a, b, c = p.a, p.b, p.c
+    if a == b == 0:
+        indegs, tops = cycle(range(c + 1)), count(c + 1)
+        for lo in range(1, stop, cap):
+            d = list(islice(indegs, min(cap, stop - lo)))
+            yield d, list(map(sub, islice(tops, len(d)), d))
+        return
+    if stop < 2:
+        return
+    d, reaches = [0], [1 + a + b + c]
+    k = 0  # the vertices j < i with reach(j) < i are v_1..v_k
+    for i in range(2, min(stop, _STEPPED + 1)):
+        if reaches[k] < i:  # at most one reach is i - 1, and it is reach(k + 1)
+            k += 1
+        d.append(i - 1 - k)
+        reaches.append(i + (a * i + b) * i + c - d[-1])
+    yield d, reaches
+    known = [reaches]
+    lo = len(d) + 1
+    while lo < stop:
+        hi = min(stop, lo + cap, reaches[-1] + 2)  # reaches[-1] = reach(lo - 1)
+        base = lo - 1
+        while known[0][-1] < base:
+            del known[0]
+        marks = bytearray(hi - lo)  # mark(i) at i - base, for i in base..hi-2
+        for r in known:
+            for x in islice(r, bisect_left(r, base), bisect_left(r, hi - 1)):
+                marks[x - base] = 1
+        d = list(accumulate(marks.translate(_FLIP), initial=d[-1]))
+        del d[0]
+        tops = accumulate(  # i + f(i) for i in lo..hi-1
+            islice(count(a * (2 * lo + 1) + b + 1, 2 * a), hi - lo - 1),
+            initial=lo + a * lo * lo + b * lo + c,
+        )
+        # by subtraction, so each kept reach is allocated at its exact size
+        reaches = list(map(sub, tops, d))
+        yield d, reaches
+        known.append(reaches)
+        lo = hi
+
+
 def build(p: IncidencePolynomial, n: int) -> JacoGraph:
     """Construct the finite Jaco graph on n vertices for incidence p.
 
-    Vertices are processed in ascending order: the running difference-array
-    sum gives each vertex's final in-degree, after which its reach (and
-    hence its out-arcs) is fixed.  O(n) time and memory.
+    The in-degrees and reaches are read off the reach marks a block of
+    vertices at a time (see the module docstring); constant incidence
+    repeats its closed form.  O(n) time and memory.
     """
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
     if evaluate(p, n) > INT64_MAX - n:
         raise ArithmeticOverflowError(f"f({n}) + {n} exceeds the 64-bit range")
-    a, b, c = p.a, p.b, p.c
-    in_degrees = [0] * n
-    reaches = [0] * n
-    diff = [0] * (n + 2)
-    running = 0
-    for i in range(1, n + 1):
-        running += diff[i]
-        r = i + a * i * i + b * i + c - running
-        in_degrees[i - 1] = running
-        reaches[i - 1] = r
-        if r > i:
-            diff[i + 1] += 1
-            if r < n:
-                diff[r + 1] -= 1
+    in_degrees: list[int] = []
+    reaches: list[int] = []
+    for d, r in _blocks(p, n + 1, n):
+        in_degrees += d
+        reaches += r
+    del d, r  # the last block would otherwise outlive the copies below
     return JacoGraph(p, n, tuple(in_degrees), tuple(reaches))
 
 
 def root_stream(p: IncidencePolynomial) -> Iterator[VertexRecord]:
     """Yield the vertex records of the infinite root graph for i = 1, 2, ...
 
-    Memory stays proportional to the active reach window: a reach is kept
-    only while it still covers the next vertex, so the window's length is
-    the next in-degree.  Reaches never decrease, so expired reaches always
-    leave from the front.  The stream raises
-    :class:`ArithmeticOverflowError` when f(i) + i leaves the 64-bit range.
+    Records are made a block of at most 4,096 vertices at a time, by the
+    recurrence of :func:`build`, so at most one block is computed beyond
+    what the consumer takes.  Memory is that block plus the reaches that
+    can still mark a later vertex, about the next in-degree in number: the
+    reaches are kept in their blocks, and a block of them is dropped once
+    all of them fall below the block being made.  The stream raises
+    :class:`ArithmeticOverflowError` at the first i where f(i) + i leaves
+    the 64-bit range, after yielding every earlier record.
     """
     a, b, c = p.a, p.b, p.c
+    # i + f(i) increases with i: the last index it keeps inside 64 bits
+    last = bisect_right(
+        range(1, INT64_MAX + 1), INT64_MAX, key=lambda i: i + a * i * i + b * i + c
+    )
     new = tuple.__new__  # skips the NamedTuple constructor's argument handling
-    record = VertexRecord
-    window: deque[int] = deque()
-    push, expire = window.append, window.popleft
-    limit = INT64_MAX
-    fi = a + b + c          # f(i), advanced by exact forward differences
-    dfi = 3 * a + b         # f(i+1) - f(i) at i = 1
-    ddf = 2 * a
-    i = 1
-    while True:
-        while window and window[0] < i:
-            expire()
-        indeg = len(window)
-        if fi > limit - i:
-            raise ArithmeticOverflowError(f"f({i}) + {i} exceeds the 64-bit range")
-        r = i + fi - indeg
-        yield new(record, (i, indeg, r))
-        push(r)
-        fi += dfi
-        dfi += ddf
-        i += 1
+    lo = 1
+    for d, r in _blocks(p, last + 1, _STREAM_BLOCK):
+        yield from map(new, repeat(VertexRecord), zip(count(lo), d, r))
+        lo += len(d)
+    raise ArithmeticOverflowError(f"f({lo}) + {lo} exceeds the 64-bit range")
 
 
 def out_degree_root(g: JacoGraph, i: int) -> int:

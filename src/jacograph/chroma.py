@@ -106,6 +106,20 @@ class SimpleGraph:
     adjacency: tuple[int, ...] | None = _Masks()
     interval_caps: tuple[int, ...] | None = None
 
+    def __eq__(self, other):
+        """Field-wise equality; caps determine the masks, so the masks are
+        compared only when neither graph has caps."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.interval_caps) == (other.order, other.interval_caps) and (
+            self.interval_caps is not None or self.adjacency == other.adjacency
+        )
+
+    def __hash__(self):
+        if self.interval_caps is not None:
+            return hash((self.order, self.interval_caps))
+        return hash((self.order, self.adjacency, None))
+
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         if order < 1:

@@ -207,15 +207,16 @@ def smallest_with_max_degree(p: IncidencePolynomial) -> tuple[int, int, int]:
 def component_decomposition(g: JacoGraph) -> list[range]:
     """Connected components of the underlying graph, as contiguous ranges.
 
-    Neighbourhoods are index intervals, so components are too.  Reaches
-    never decrease, so a component starts at every i whose predecessor
-    does not reach it.  Constant incidence c >= 1 gives consecutive blocks
-    of size c + 1 (the last may be smaller); any a >= 1 or b >= 1 gives a
-    single component; the zero polynomial gives n singletons.
+    Neighbourhoods are index intervals, so components are too, and a
+    component starts at every i whose predecessor does not reach it.  Read
+    off the chain break: any a >= 1 or b >= 1 gives a single component;
+    constant incidence c gives consecutive blocks of c + 1 (the last may
+    be smaller), so the zero polynomial gives n singletons.
     """
-    n = g.n
-    starts = [1] + [i for i, r in zip(range(2, n + 1), g.reaches) if r < i]
-    return [range(s, e) for s, e in zip(starts, starts[1:] + [n + 1])]
+    n, t = g.n, _chain_break(g.incidence)
+    if t is None:
+        return [range(1, n + 1)]
+    return [range(s, min(s + t, n + 1)) for s in range(1, n + 1, t)]
 
 
 class ConstructionRow(NamedTuple):

@@ -1,7 +1,8 @@
+from collections import deque
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacograph import (
     ArcBudgetExceededError,
@@ -15,10 +16,56 @@ from jacograph import (
     out_degree_root,
     root_stream,
 )
+from jacograph import builder
+from jacograph.builder import VertexRecord
+from jacograph.incidence import INT64_MAX
 from jacograph.oracle import arcs_by_definition
 from conftest import polynomials
 
 X2 = IncidencePolynomial(1, 0, 0)
+
+
+def difference_array_build(p, n):
+    """Reference: one vertex at a time, in-degrees from a running sum over a
+    difference array of reach endpoints (+1 at i+1, -1 past reach(i))."""
+    a, b, c = p.a, p.b, p.c
+    in_degrees = [0] * n
+    reaches = [0] * n
+    diff = [0] * (n + 2)
+    running = 0
+    for i in range(1, n + 1):
+        running += diff[i]
+        r = i + a * i * i + b * i + c - running
+        in_degrees[i - 1] = running
+        reaches[i - 1] = r
+        if r > i:
+            diff[i + 1] += 1
+            if r < n:
+                diff[r + 1] -= 1
+    return tuple(in_degrees), tuple(reaches)
+
+
+def deque_stream(p):
+    """Reference: one vertex at a time, the in-degree being the length of a
+    deque of the reaches that still cover the vertex."""
+    a, b, c = p.a, p.b, p.c
+    window = deque()
+    fi = a + b + c
+    dfi = 3 * a + b
+    ddf = 2 * a
+    i = 1
+    while True:
+        while window and window[0] < i:
+            window.popleft()
+        indeg = len(window)
+        if fi > INT64_MAX - i:
+            raise ArithmeticOverflowError(f"f({i}) + {i} exceeds the 64-bit range")
+        r = i + fi - indeg
+        yield VertexRecord(i, indeg, r)
+        window.append(r)
+        fi += dfi
+        dfi += ddf
+        i += 1
 
 
 def test_table_in_degrees_first_six():
@@ -93,6 +140,26 @@ def test_stream_overflow_raises():
         next(stream)
 
 
+def _records_until_overflow(stream):
+    records = []
+    with pytest.raises(ArithmeticOverflowError) as raised:
+        records.extend(stream)
+    return records, str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        IncidencePolynomial(2**61, 0, 0),
+        IncidencePolynomial(0, 2**61, 0),
+        IncidencePolynomial(0, 0, INT64_MAX - 5),
+        IncidencePolynomial(3037000500**2, 0, 0),
+    ],
+)
+def test_stream_overflow_matches_reference(p):
+    assert _records_until_overflow(root_stream(p)) == _records_until_overflow(deque_stream(p))
+
+
 @given(polynomials(), st.integers(1, 40))
 @settings(max_examples=150)
 def test_arcs_match_definitional_oracle(p, n):
@@ -116,6 +183,50 @@ def test_truncation_never_changes_in_degrees(p, n):
     half = build(p, n // 2 + 1)
     assert full.in_degrees[: half.n] == half.in_degrees
     assert full.reaches[: half.n] == half.reaches
+
+
+# the stepped vertices end at 64, the stream's first full block at 4160
+REFERENCE_EXAMPLES = [
+    (IncidencePolynomial(a, b, c), n)
+    for a, b, c in ((0, 1, 0), (0, 2, 1), (1, 0, 0), (3, 2, 2), (0, 0, 3), (0, 0, 0))
+    for n in (63, 64, 65, 4160, 4161, 10_000)
+]
+
+
+def with_examples(cases):
+    def apply(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+
+    return apply
+
+
+@given(polynomials(), st.integers(1, 600))
+@settings(max_examples=100)
+@with_examples(REFERENCE_EXAMPLES)
+def test_build_and_stream_match_reference_loops(p, n):
+    g = build(p, n)
+    assert (g.in_degrees, g.reaches) == difference_array_build(p, n)
+    assert list(islice(root_stream(p), n)) == list(islice(deque_stream(p), n))
+
+
+@given(
+    polynomials(),
+    st.integers(1, 300),
+    st.sampled_from([1, 2, 5, 64]),
+    st.sampled_from([1, 2, 3, 7]),
+)
+@settings(max_examples=150)
+def test_short_blocks_match_reference_loops(p, n, stepped, block):
+    # short stepped prefixes and stream blocks put block boundaries everywhere
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builder, "_STEPPED", stepped)
+        patch.setattr(builder, "_STREAM_BLOCK", block)
+        g = build(p, n)
+        records = list(islice(root_stream(p), n))
+    assert (g.in_degrees, g.reaches) == difference_array_build(p, n)
+    assert records == list(islice(deque_stream(p), n))
 
 
 @given(polynomials(), st.integers(1, 300))

@@ -347,6 +347,25 @@ def test_certified_report_builds_no_masks():
     assert peak < 10 * 2**20
 
 
+def test_certified_equality_builds_no_masks():
+    first, second = jaco_underlying(20_000), jaco_underlying(20_000)
+    tracemalloc.start()
+    try:
+        assert first == second
+        assert hash(first) == hash(second)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    small = jaco_underlying(30)
+    assert small != stripped(small)
+    assert stripped(small) == stripped(jaco_underlying(30))
+    assert hash(stripped(small)) == hash(stripped(jaco_underlying(30)))
+    other = jaco_underlying(30, IncidencePolynomial(1, 0, 1))
+    assert small != other
+    assert stripped(small) != stripped(other)
+
+
 @pytest.mark.parametrize(
     "caps, message",
     [
