@@ -51,14 +51,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import ge, le, sub
+from itertools import count
+from operator import ge, le, mul, sub
 from typing import Iterable, Iterator
 
 from .builder import JacoGraph
-from .errors import JacoError, SearchBudgetExceededError
+from .errors import SearchBudgetExceededError
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
@@ -119,6 +121,11 @@ class SimpleGraph:
         if self.interval_caps is not None:
             return hash((self.order, self.interval_caps))
         return hash((self.order, self.adjacency, None))
+
+    def __repr__(self):
+        """The order and caps only: the masks may not be derived yet, and
+        a mask of more than about 14,000 bits has no str()."""
+        return f"SimpleGraph(order={self.order}, interval_caps={self.interval_caps!r})"
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
@@ -215,9 +222,14 @@ class ProperColouring:
         return cls(assignment, k, tuple(weights))
 
 
+def _weighted_sum(weights: Iterable[int]) -> int:
+    """sum_i i * weights[i - 1]."""
+    return sum(map(mul, weights, count(1)))
+
+
 def colour_sum(s: ProperColouring) -> int:
     """The colour sum: sum of i * theta(c_i)."""
-    return sum(i * w for i, w in enumerate(s.weights, start=1))
+    return _weighted_sum(s.weights)
 
 
 def reverse_colouring(s: ProperColouring) -> ProperColouring:
@@ -235,8 +247,8 @@ def chromatic_stats(s: ProperColouring) -> tuple[Fraction, Fraction]:
     """Mean and variance of the colour index under the colouring's pmf
     theta(c_i)/|V|, both exact rationals."""
     n = sum(s.weights)
-    mean = Fraction(sum(i * w for i, w in enumerate(s.weights, start=1)), n)
-    second = Fraction(sum(i * i * w for i, w in enumerate(s.weights, start=1)), n)
+    mean = Fraction(_weighted_sum(s.weights), n)
+    second = Fraction(_weighted_sum(map(mul, s.weights, count(1))), n)  # sum of i * i * w_i
     return mean, second - mean * mean
 
 
@@ -301,16 +313,29 @@ def chromatic_number(graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGE
         return max(map(sub, graph.interval_caps, range(1, graph.order + 1))) + 1
     budget = _Budget(node_budget, graph.order)
     k = _greedy_clique(graph.adjacency, graph.order)
-    while _PartitionSearch(graph, k, budget, first=True).run() is None:
+    while _partition_search(graph, k, budget, first=True) is None:
         k += 1
     return k
+
+
+@contextmanager
+def _recursion_guard(search: str, n: int):
+    """Report a search deeper than the recursion limit as too large."""
+    try:
+        yield
+    except RecursionError:
+        raise SearchBudgetExceededError(
+            f"{search} search on {n} vertices exceeds the recursion limit"
+        ) from None
 
 
 class _FirstPartition(Exception):
     """Unwinds a first-partition search from its first leaf."""
 
 
-class _PartitionSearch:
+def _partition_search(
+    graph: SimpleGraph, k: int, budget: _Budget, first: bool = False
+) -> ProperColouring | None:
     """Exact minimum-sum search over colour-class partitions.
 
     Vertices are placed one at a time (most-constrained first) into an
@@ -320,98 +345,62 @@ class _PartitionSearch:
     joining the largest class for +1) cannot beat the incumbent; equal
     bounds are kept alive because ties are broken canonically at leaves.
 
-    With ``first`` set, the search stops at its first leaf, which answers
-    whether k classes suffice; stopping there costs the minimum-sum search
-    nothing per node.
+    Returns the canonical minimum-sum colouring with exactly k classes, or
+    None when there is none.  With ``first`` set, the search stops at its
+    first leaf and returns that colouring, which answers whether k classes
+    suffice; stopping there costs the minimum-sum search nothing per node.
     """
+    adj, n = graph.adjacency, graph.order
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    conflicts: list[int] = []  # per class, the vertices it may not take
+    members: list[list[int]] = []
+    best = None  # (sum, negated weights, assignment) of the incumbent
+    budget.k = k
 
-    def __init__(self, graph: SimpleGraph, k: int, budget: _Budget, first: bool = False):
-        self.adj = graph.adjacency
-        self.n = graph.order
-        self.k = budget.k = k
-        self.budget = budget
-        self.first = first
-        self.order = sorted(range(self.n), key=lambda v: (-self.adj[v].bit_count(), v))
-        self.conflicts: list[int] = []
-        self.members: list[list[int]] = []
-        self.sizes: list[int] = []
-        self.best_sum: int | None = None
-        self.best_key: tuple | None = None
-        self.best_weights: tuple[int, ...] | None = None
-        self.best_assignment: tuple[int, ...] | None = None
-
-    def run(self) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
-        """(sum, weights, assignment), or None when no partition into
-        exactly k independent classes exists."""
-        try:
-            self._place(0)
-        except _FirstPartition:
-            pass
-        except RecursionError:
-            raise SearchBudgetExceededError(
-                f"partition search on {self.n} vertices exceeds the recursion limit"
-            ) from None
-        if self.best_sum is None:
-            return None
-        return self.best_sum, self.best_weights, self.best_assignment
-
-    def _leaf(self) -> None:
-        sizes = self.sizes
-        ranked = sorted(range(len(sizes)), key=lambda t: (-sizes[t], min(self.members[t])))
-        weights = tuple(sizes[t] for t in ranked)
-        total = sum(i * w for i, w in enumerate(weights, start=1))
-        assignment = [0] * self.n
-        for colour, t in enumerate(ranked, start=1):
-            for v in self.members[t]:
-                assignment[v] = colour
-        assignment = tuple(assignment)
-        key = (total, tuple(-w for w in weights), assignment)
-        if self.best_key is None or key < self.best_key:
-            self.best_key = key
-            self.best_sum = total
-            self.best_weights = weights
-            self.best_assignment = assignment
-        if self.first:
-            raise _FirstPartition
-
-    def _place(self, pos: int) -> None:
-        self.budget.spend()
-        remaining = self.n - pos
-        m = len(self.sizes)
-        if m + remaining < self.k:
+    def place(pos: int) -> None:
+        nonlocal best
+        budget.spend()
+        remaining = n - pos
+        m = len(members)
+        if m + remaining < k:
             return
-        if pos == self.n:
-            if m == self.k:
-                self._leaf()
+        if pos == n:  # m == k here, as fewer classes were cut above
+            ranked = sorted(members, key=lambda c: (-len(c), min(c)))
+            assignment = [0] * n
+            for colour, c in enumerate(ranked, start=1):
+                for v in c:
+                    assignment[v] = colour
+            key = (_weighted_sum(map(len, ranked)), tuple(-len(c) for c in ranked),
+                   tuple(assignment))
+            if best is None or key < best:
+                best = key
+            if first:
+                raise _FirstPartition
             return
-        if self.best_sum is not None:
-            bound = (
-                sum(i * w for i, w in enumerate(sorted(self.sizes, reverse=True), start=1))
-                + remaining
-            )
-            if bound > self.best_sum:
+        if best is not None:
+            if _weighted_sum(sorted(map(len, members), reverse=True)) + remaining > best[0]:
                 return
-        v = self.order[pos]
+        v = order[pos]
         bit = 1 << v
-        neigh = self.adj[v]
+        neigh = adj[v]
         for t in range(m):
-            if not self.conflicts[t] & bit:
-                saved = self.conflicts[t]
-                self.conflicts[t] = saved | neigh
-                self.members[t].append(v)
-                self.sizes[t] += 1
-                self._place(pos + 1)
-                self.sizes[t] -= 1
-                self.members[t].pop()
-                self.conflicts[t] = saved
-        if m < self.k:
-            self.conflicts.append(neigh)
-            self.members.append([v])
-            self.sizes.append(1)
-            self._place(pos + 1)
-            self.sizes.pop()
-            self.members.pop()
-            self.conflicts.pop()
+            saved = conflicts[t]
+            if not saved & bit:
+                conflicts[t] = saved | neigh
+                members[t].append(v)
+                place(pos + 1)
+                members[t].pop()
+                conflicts[t] = saved
+        if m < k:
+            conflicts.append(neigh)
+            members.append([v])
+            place(pos + 1)
+            members.pop()
+            conflicts.pop()
+
+    with _recursion_guard("partition", n), suppress(_FirstPartition):
+        place(0)
+    return None if best is None else ProperColouring(best[2], k, tuple(-w for w in best[1]))
 
 
 def _first_fit(caps: tuple[int, ...]) -> ProperColouring:
@@ -455,12 +444,7 @@ def min_sum_colouring(
     if graph.interval_caps is not None:
         return _first_fit(graph.interval_caps)
     k = chromatic_number(graph, node_budget)
-    found = _PartitionSearch(graph, k, _Budget(node_budget, graph.order)).run()
-    if found is None:
-        # impossible when k = chi(G); guards an inconsistent caller
-        raise JacoError(f"no partition into {k} independent classes exists")
-    total, weights, assignment = found
-    return ProperColouring(assignment=assignment, k=k, weights=weights)
+    return _partition_search(graph, k, _Budget(node_budget, graph.order))
 
 
 def _mis_size(avail: int, adj: tuple[int, ...], budget: _Budget) -> int:
@@ -480,12 +464,8 @@ def _mis_size(avail: int, adj: tuple[int, ...], budget: _Budget) -> int:
         if adj[v] & mask:
             rec(mask & ~(1 << v), size)
 
-    try:
+    with _recursion_guard("independent-set", len(adj)):
         rec(avail, 0)
-    except RecursionError:
-        raise SearchBudgetExceededError(
-            f"independent-set search on {len(adj)} vertices exceeds the recursion limit"
-        ) from None
     return best
 
 

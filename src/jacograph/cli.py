@@ -212,11 +212,11 @@ def cmd_table1(args) -> int:
     p = parse(args.f)
     if args.n < 1:
         raise InvalidOrderError(f"--n must be >= 1, got {args.n}")
+    rows = construction_table(p, args.n)
+    first = next(rows)  # builds the graph, which refuses an order past 64 bits
     names = list(map(str, range(args.n + 1)))
     lines = []
-    for k, in_degree, out_degree_root, jaconian_set, max_degree, dist in construction_table(
-        p, args.n
-    ):
+    for k, in_degree, out_degree_root, jaconian_set, max_degree, dist in chain((first,), rows):
         cells = (
             str(in_degree),
             str(out_degree_root),

@@ -15,6 +15,7 @@ graphs as prefixes of one build.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import pairwise
 from typing import Iterator
 
@@ -102,12 +103,18 @@ class VerifyConfig:
         return self.polynomials is None or X_SQUARED in self.polynomials
 
 
+@cache
+def _degree_sweep(p: IncidencePolynomial, n: int) -> tuple[tuple[int, ...], ...]:
+    """The underlying degrees of the order-k graph for k = 1..n: one literal
+    sweep, shared by every law that reads it during a ``run``."""
+    return tuple(map(underlying_degrees, _prefixes(p, n)))
+
+
 def _prefix_degrees(
     p: IncidencePolynomial, n: int
 ) -> Iterator[tuple[JacoGraph, tuple[int, ...]]]:
     """The order-k graph and its underlying degrees, for k = 1..n."""
-    for g in _prefixes(p, n):
-        yield g, underlying_degrees(g)
+    return zip(_prefixes(p, n), _degree_sweep(p, n))
 
 
 def _label(p: IncidencePolynomial) -> str:
@@ -570,8 +577,11 @@ def run(cfg: VerifyConfig | None = None, only: tuple[str, ...] | None = None) ->
     else:
         selected = list(PROPERTIES)
     results = []
-    for name, func in selected:
-        res = PropertyResult(name)
-        func(cfg, res)
-        results.append(res)
+    try:
+        for name, func in selected:
+            res = PropertyResult(name)
+            func(cfg, res)
+            results.append(res)
+    finally:
+        _degree_sweep.cache_clear()
     return results

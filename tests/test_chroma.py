@@ -54,14 +54,18 @@ def test_chromatic_number_generic_path():
     assert chromatic_number(cycle6) == 2
 
 
-def test_grotzsch_graph_needs_four_colours():
-    # triangle-free (clique bound 2) with chi = 4, so the search must
-    # reject k = 2 and k = 3 before it finds a partition
+def grotzsch_graph():
     edges = [(i, i % 5 + 1) for i in range(1, 6)]
     edges += [(i + 5, (i - 2) % 5 + 1) for i in range(1, 6)]
     edges += [(i + 5, i % 5 + 1) for i in range(1, 6)]
     edges += [(i + 5, 11) for i in range(1, 6)]
-    grotzsch = SimpleGraph.from_edges(11, edges)
+    return SimpleGraph.from_edges(11, edges)
+
+
+def test_grotzsch_graph_needs_four_colours():
+    # triangle-free (clique bound 2) with chi = 4, so the search must
+    # reject k = 2 and k = 3 before it finds a partition
+    grotzsch = grotzsch_graph()
     assert grotzsch.edge_count() == 20
     assert chromatic_number(grotzsch) == 4
     colouring = min_sum_colouring(grotzsch)
@@ -199,16 +203,36 @@ def test_search_budget_raises():
     assert greedy_min_sum(fifteen, node_budget=3) == greedy_min_sum(stripped(fifteen))
 
 
+@pytest.mark.parametrize("make, least", [
+    pytest.param(lambda: SimpleGraph.from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)]),
+                 (19, 168, 70), id="9-cycle"),
+    pytest.param(lambda: stripped(jaco_underlying(16)), (17, 669, 261), id="stripped-x2-16"),
+    pytest.param(lambda: stripped(jaco_underlying(20)), (21, 3364, 396), id="stripped-x2-20"),
+    pytest.param(grotzsch_graph, (100, 740, 123), id="groetzsch"),
+])
+def test_least_search_budgets_are_pinned(make, least):
+    # the fewest nodes with which chromatic_number, min_sum_colouring and
+    # greedy_min_sum succeed; a change to the search order, the pruning or
+    # the budget policy moves them
+    graph = make()
+    for search, budget in zip((chromatic_number, min_sum_colouring, greedy_min_sum), least):
+        search(graph, node_budget=budget)
+        with pytest.raises(SearchBudgetExceededError):
+            search(graph, node_budget=budget - 1)
+
+
 def test_deep_search_ends_in_budget_error():
     # both searches recurse once per vertex; past the recursion limit they
     # must stop with a budget error, not a RecursionError
-    with pytest.raises(SearchBudgetExceededError, match="on 1000 vertices"):
+    with pytest.raises(SearchBudgetExceededError,
+                       match="^independent-set search on 1000 vertices exceeds the recursion limit$"):
         greedy_min_sum(stripped(jaco_underlying(1000)))
 
 
 def test_deep_braid_search_ends_in_budget_error():
     braid = stripped(realize(BraidedString((600, 600), (1,))))
-    with pytest.raises(SearchBudgetExceededError, match="on 1199 vertices"):
+    with pytest.raises(SearchBudgetExceededError,
+                       match="^partition search on 1199 vertices exceeds the recursion limit$"):
         chroma_report(braid)
 
 
@@ -345,6 +369,23 @@ def test_certified_report_builds_no_masks():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_repr_reads_no_masks():
+    # the masks of x^2 at n = 20,000 hold about 54 MB, and a mask of
+    # 20,000 bits has more digits than str() of an int allows
+    certified = jaco_underlying(20_000)
+    tracemalloc.start()
+    try:
+        text = repr(certified)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert text.startswith("SimpleGraph(order=20000, ")
+    assert repr(SimpleGraph.from_edges(20_000, [(1, 20_000)])).startswith(
+        "SimpleGraph(order=20000, "
+    )
 
 
 def test_certified_equality_builds_no_masks():

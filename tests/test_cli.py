@@ -281,6 +281,22 @@ def test_verify_results_follow_the_property_order():
     assert [r.name for r in verify.run(cfg)] == list(verify.available_properties())
 
 
+def test_verify_sweeps_each_prefix_once_per_run(monkeypatch):
+    # the seven laws over every prefix's degrees share one literal sweep
+    # per polynomial, and a run leaves nothing behind for the next
+    swept = []
+    literal = verify.underlying_degrees
+    monkeypatch.setattr(verify, "underlying_degrees", lambda g: swept.append(g.n) or literal(g))
+    laws = ("delta-monotone", "min-degree-bound", "prime-full-degree-prefix", "milestone-prime",
+            "degree-jump-bound", "jaconian-plateau", "jaconian-contiguity")
+    cfg = verify.VerifyConfig(n_max=30)
+    for only in (laws[:1], laws, laws):
+        swept.clear()
+        assert all(r.ok for r in verify.run(cfg, only))
+        assert sorted(swept) == sorted(list(range(1, 31)) * len(cfg.structural_polys()))
+        assert verify._degree_sweep.cache_info().currsize == 0
+
+
 def test_deep_braid_gets_its_closed_form(capsys):
     code, out, err = run(capsys, "braided", "--orders", "600,600", "--overlaps", "1")
     assert code == 0
@@ -339,6 +355,20 @@ PINNED = [
      "3be68ee5ef7b49f13149d6b6f5952ff4e3e2f34070aba6e86ab70fc998276998"),
     ("braided --orders 3,1,3 --overlaps 0,0 --format dot",
      "9fb27d092f48032a0ce101da5d228c0aeaebbf34b364a1aabc099511be34743a"),
+    ("table3 --f x^2 --n 20 --weights --show-paper-errata",
+     "5e6c91d98f7fe0b5f973e30192c18c01f77a8f487c2e1f71e4257f4c499e155b"),
+    ("table3 --f 3*x^2+2*x+2 --n 300 --weights",
+     "a1a0a0eaf5fae8dcba7fbb2ebb00a103d19df9dbca8c9e8053dc18a04295aa10"),
+    ("table3 --f 3 --n 200",
+     "c9a7834f352c5ebed98f0b98047568c903444e2e19cee455232ab16365ee8577"),
+    ("table3 --f 2*x+1 --n 150 --weights",
+     "e2271292ef92db3c1fa288bc10782d8a7a255c733c044811b82dee0bc0491caf"),
+    ("braided --orders 7,5 --overlaps 3 --erratum --show-paper-errata",
+     "0873e662324963b4cd66e5a494155e49ae64292e3e29cd2ea88b9d49b024c8b0"),
+    ("verify --prop greedy-agreement",
+     "f62ac20e41ef05d4f44e194ea5298827dc7a018a6f15acc181b827dc77ac7f0a"),
+    ("verify",
+     "044621bac66d101521ef1ba1df75fe54c1715f802b24be2f4352bbf32d6df5b7"),
 ]
 
 
@@ -438,6 +468,21 @@ def test_closed_pipe_is_an_output_error(argv):
     finally:
         os.close(write)
     _assert_one_output_error(proc.returncode, proc.stderr)
+
+
+def test_table1_past_the_64_bit_range_is_an_input_error():
+    # the order is refused by the build before anything of size n is made;
+    # the address-space limit keeps a regression from taking the machine
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = _python(["-m", "jacograph", "table1", "--f", "x^2", "--n", "4000000000"],
+                   preexec_fn=limit, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: f(4000000000) = 16000000000000000000 exceeds the 64-bit range;"
+                           " reduce the order\n")
 
 
 def _peak_rss_mb(argv):
