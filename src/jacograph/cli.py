@@ -69,6 +69,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's 2
         raise _UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # argparse drops a "--" given as an option's value (--f=--) and
+        # leaves an empty list in its place
+        for name, value in vars(parsed).items():
+            if isinstance(value, list) and (not value or [] in value):
+                self.error(f"argument --{name.replace('_', '-')}: '--' is not a value")
+        return parsed
+
 
 def _fmt_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

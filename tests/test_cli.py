@@ -223,6 +223,20 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--f=--", "--n=1"],
+    ["table3", "--f=x^2", "--n=--"],
+    ["export", "--f=x", "--n=3", "--format=--"],
+    ["braided", "--orders=--"],
+    ["verify", "--prop=parse-roundtrip", "--f=--"],
+    ["table1", "--f=x^2", "--n=1", "--out=--"],
+])
+def test_double_dash_as_an_option_value_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --") and "'--' is not a value" in err
+
+
 def test_invalid_order_exit_code(capsys):
     code, _, err = run(capsys, "table1", "--f", "x^2", "--n", "0")
     assert code == 1
