@@ -49,8 +49,6 @@ practical up to roughly 25 vertices.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import deque
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,10 +186,12 @@ class SimpleGraph:
 
 def underlying_graph(g: JacoGraph) -> SimpleGraph:
     """Underlying undirected graph of a Jaco graph, with its interval
-    certificate (vertex i covers indices i .. min(reach(i), n))."""
+    certificate (vertex i covers indices i .. min(reach(i), n)).  The first
+    vertex whose reach covers v_n is h = n - indeg(n), so the caps are the
+    reaches below h and n from h on."""
     n, reaches = g.n, g.reaches
-    i = bisect_left(reaches, n)  # the reaches never decrease
-    return SimpleGraph.from_intervals(reaches[:i] + (n,) * (n - i))
+    h = n - g.in_degrees[-1]
+    return SimpleGraph.from_intervals(reaches[:h - 1] + (n,) * (n - h + 1))
 
 
 @dataclass(frozen=True)
@@ -406,17 +406,18 @@ def _partition_search(
 def _first_fit(caps: tuple[int, ...]) -> ProperColouring:
     """Colour v = 1..n with the least colour no earlier neighbour holds.
 
-    A colour is busy while the cap of its latest vertex reaches v; caps
-    never decrease, so busy colours free up in the order they were last
-    used, and the free ones wait in a heap.
+    The earlier neighbours of v are lo..v-1, where lo, the first vertex
+    whose cap reaches v, only grows as the caps never decrease; each vertex
+    the window start passes frees its colour onto a heap.
     """
-    busy: deque[tuple[int, int]] = deque()  # (cap, colour), caps ascending
     free: list[int] = []
     assignment = []
     weights = []
-    for v, cap in enumerate(caps, start=1):
-        while busy and busy[0][0] < v:
-            heappush(free, busy.popleft()[1])
+    lo = 1
+    for v in range(1, len(caps) + 1):
+        while caps[lo - 1] < v:
+            heappush(free, assignment[lo - 1])
+            lo += 1
         if free:
             colour = heappop(free)
             weights[colour - 1] += 1
@@ -424,7 +425,6 @@ def _first_fit(caps: tuple[int, ...]) -> ProperColouring:
             weights.append(1)
             colour = len(weights)
         assignment.append(colour)
-        busy.append((cap, colour))
     return ProperColouring(tuple(assignment), len(weights), tuple(weights))
 
 

@@ -386,9 +386,10 @@ def cmd_export(args) -> int:
     p = parse(args.f)
     if args.n < 1:
         raise InvalidOrderError(f"--n must be >= 1, got {args.n}")
+    if args.arc_budget < 0:
+        raise _UsageError(f"--arc-budget must be >= 0, got {args.arc_budget}")
     g = build(p, args.n)
-    n = g.n
-    caps = [min(r, n) for r in g.reaches]
+    caps = underlying_graph(g).interval_caps
     if args.format != "json" or args.arcs:
         check_arc_budget(g, args.arc_budget)
     if args.format != "json":
@@ -396,7 +397,7 @@ def cmd_export(args) -> int:
         return EXIT_OK
     head = json.dumps({
         "incidence": {"a": p.a, "b": p.b, "c": p.c},
-        "n": n,
+        "n": g.n,
         "vertices": [
             {"i": i, "in_degree": d, "reach": r}
             for i, (d, r) in enumerate(zip(g.in_degrees, g.reaches), start=1)

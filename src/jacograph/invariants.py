@@ -13,9 +13,12 @@ do not.  Below h the degree is f(i), which never decreases; from h on it
 is n - (i - indeg(i)), which never increases.  So the maximum degree Delta
 sits at h - 1 or h, and the Jaconian set is one run lo..hi around them:
 
-* lo is the first i below h with f(i) >= Delta (h if there is none), one
-  bisection over f;
-* hi needs no search: hi = min(n, reach(n - Delta)).  From h on,
+* lo needs no search: if a + b >= 1, f strictly increases, as
+  f(i+1) - f(i) = a(2i + 1) + b >= 1, so among the vertices below h only
+  v_{h-1} can reach Delta; under constant incidence every f(i) is c, so
+  all of v_1..v_{h-1} do or none does.  Hence lo = h unless h > 1 and
+  f(h-1) >= deg(h), and then lo = h - 1 (a + b >= 1) or lo = 1 (constant);
+* hi needs no search either: hi = min(n, reach(n - Delta)).  From h on,
   deg(i) >= Delta exactly when i - indeg(i) <= n - Delta, that is when
   reach(n - Delta) >= i (Delta <= n - 1, so n - Delta >= 1).  The run never
   ends below h - 1: v_{h-1} does not reach v_n, so
@@ -35,9 +38,7 @@ the first break is at v_{c+1}.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .builder import JacoGraph, build
@@ -87,40 +88,30 @@ def _distance(n: int, h: int, chain_break: int | None) -> int | None:
     return h if n > 1 else 0
 
 
-class _Incidences:
-    """f(i) = indeg(i) + reach(i) - i at index i - 1, computed when read, so
-    that one bisection costs O(log n) without listing all n values."""
-
-    __slots__ = ("indeg", "reaches")
-
-    def __init__(self, indeg: Sequence[int], reaches: Sequence[int]):
-        self.indeg, self.reaches = indeg, reaches
-
-    def __getitem__(self, j: int) -> int:
-        return self.indeg[j] + self.reaches[j] - j - 1
-
-
 def _read_off(
-    n: int, indeg: Sequence[int], reaches: Sequence[int], f: Sequence[int]
+    n: int, indeg: Sequence[int], reaches: Sequence[int], p: IncidencePolynomial
 ) -> tuple[int, int, int, int]:
-    """(h, Delta, lo, hi) of the order-n graph whose vertex data start
-    ``indeg``, ``reaches`` and ``f`` (they may run on past n): h = n - indeg(n),
-    the maximum degree Delta and the Jaconian run lo..hi."""
+    """(h, Delta, lo, hi) of the order-n graph of incidence ``p`` whose vertex
+    data start ``indeg`` and ``reaches`` (they may run on past n):
+    h = n - indeg(n), the maximum degree Delta and the Jaconian run lo..hi,
+    each read off in O(1) as the module docstring proves."""
     h = n - indeg[n - 1]
-    top = indeg[h - 1] + n - h  # v_h reaches v_n
-    if h > 1 and f[h - 2] > top:
-        top = f[h - 2]
-    lo = 1 + bisect_left(f, top, 0, h - 1)
+    top, lo = indeg[h - 1] + n - h, h  # v_h reaches v_n
+    if h > 1:
+        below = indeg[h - 2] + reaches[h - 2] - h + 1  # f(h - 1)
+        if below >= top:
+            top, lo = below, (h - 1 if p.a or p.b else 1)
     hi = min(n, reaches[n - top - 1])
     return h, top, lo, hi
 
 
 def jaconian(g: JacoGraph) -> InvariantReport:
     """Read the invariant report of ``g`` off h = n - indeg(n): the maximum
-    degree is that of v_{h-1} or v_h, whichever is larger; its run starts
-    where one bisection over f finds it and ends at min(n, reach(n - Delta))."""
+    degree is that of v_{h-1} or v_h, whichever is larger; its run starts at
+    h, h - 1 or v_1 and ends at min(n, reach(n - Delta)), all with no search.
+    Only the ``jaconian_set`` tuple costs time in its length."""
     n, indeg, reaches = g.n, g.in_degrees, g.reaches
-    h, top, lo, hi = _read_off(n, indeg, reaches, _Incidences(indeg, reaches))
+    h, top, lo, hi = _read_off(n, indeg, reaches, g.incidence)
     return InvariantReport(
         max_degree=top,
         min_degree=min(indeg[0] + min(reaches[0], n) - 1, indeg[n - 1]),
@@ -141,8 +132,8 @@ def hope_subgraph(g: JacoGraph) -> range:
     is asserted here and :class:`HopeNotCompleteError` raised if it fails,
     e.g. for constant incidence once the graph splits into components.
     """
-    rep = jaconian(g)
-    lo = rep.prime_jaconian + 1
+    _, _, prime, _ = _read_off(g.n, g.in_degrees, g.reaches, g.incidence)
+    lo = prime + 1
     # reaches never decrease, so vertex lo has the shortest reach in lo..n-1
     if lo < g.n and g.reaches[lo - 1] < g.n:
         raise HopeNotCompleteError(
@@ -184,8 +175,9 @@ def smallest_with_max_degree(p: IncidencePolynomial) -> tuple[int, int, int]:
     prime Jaconian vertex at index f(1).  The vertex v_{f(1)} enters the
     construction with in-degree f(1) - 1, so its reach is f(f(1)) + 1 and
     its degree saturates at f(f(1)) exactly when the graph reaches that
-    order.  Both the hit at k and the miss at k - 1 are verified on built
-    graphs, which together with degree monotonicity makes k the smallest.
+    order.  Both the hit at k and the miss at k - 1 are verified on one
+    build, whose first k - 1 vertices are the order-(k - 1) graph; together
+    with degree monotonicity this makes k the smallest.
     Requires quadratic incidence (a >= 1).
     """
     if p.a < 1:
@@ -193,13 +185,14 @@ def smallest_with_max_degree(p: IncidencePolynomial) -> tuple[int, int, int]:
     f1 = evaluate(p, 1)
     target = evaluate(p, f1)
     k = target + 1
-    rep = jaconian(build(p, k))
-    if rep.max_degree != target or rep.prime_jaconian != f1:
+    g = build(p, k)
+    _, top, prime, _ = _read_off(k, g.in_degrees, g.reaches, p)
+    if top != target or prime != f1:
         raise JacoError(
-            f"locator self-check failed at order {k}: max degree {rep.max_degree},"
-            f" prime {rep.prime_jaconian}, expected {target} at v{f1}"
+            f"locator self-check failed at order {k}: max degree {top},"
+            f" prime {prime}, expected {target} at v{f1}"
         )
-    if k > 1 and jaconian(build(p, k - 1)).max_degree >= target:
+    if k > 1 and _read_off(k - 1, g.in_degrees, g.reaches, p)[1] >= target:
         raise JacoError(f"locator self-check failed: order {k - 1} already attains {target}")
     return k, f1, target
 
@@ -247,16 +240,14 @@ def construction_table(p: IncidencePolynomial, n: int) -> Iterator[ConstructionR
     Each row reports data of the order-k graph: the in-degree and root
     out-degree of v_k, the Jaconian set and maximum degree of that graph,
     and the stepwise v1-distance (None when unreachable).  Every row is
-    read off the one order-n build by index, with f listed once, so a row
-    costs one bisection over that list and O(1) further work besides its
-    Jaconian set.
+    read off the one order-n build by index in O(1), with nothing listed,
+    besides its Jaconian set.
     """
     full = build(p, n)
     indeg, reaches = full.in_degrees, full.reaches
-    f = list(map(sub, map(add, indeg, reaches), range(1, n + 1)))
     chain_break = _chain_break(p)
     for k in range(1, n + 1):
-        h, top, lo, hi = _read_off(k, indeg, reaches, f)
+        h, top, lo, hi = _read_off(k, indeg, reaches, p)
         yield ConstructionRow(
             k, indeg[k - 1], reaches[k - 1] - k, tuple(range(lo, hi + 1)), top,
             _distance(k, h, chain_break),

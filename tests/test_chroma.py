@@ -25,7 +25,7 @@ from jacograph import (
     underlying_graph,
 )
 from jacograph.oracle import exhaustive_min_sum
-from conftest import non_decreasing_caps, product_sum_range, small_graphs
+from conftest import non_decreasing_caps, polynomials, product_sum_range, small_graphs
 
 X2 = IncidencePolynomial(1, 0, 0)
 
@@ -234,6 +234,20 @@ def test_deep_braid_search_ends_in_budget_error():
     with pytest.raises(SearchBudgetExceededError,
                        match="^partition search on 1199 vertices exceeds the recursion limit$"):
         chroma_report(braid)
+
+
+@given(st.one_of(polynomials(), polynomials(10, 10, 10)), st.integers(1, 300))
+@example(parse("0"), 300)
+@example(parse("3"), 300)
+@example(parse("0"), 1)
+@example(parse("3"), 1)
+@example(X2, 1)
+@settings(max_examples=200)
+def test_caps_are_the_clipped_reaches_cut_where_v_n_is_first_reached(p, n):
+    g = build(p, n)
+    assert underlying_graph(g).interval_caps == tuple(min(r, n) for r in g.reaches)
+    first = next(m for m in range(1, n + 1) if g.reaches[m - 1] >= n)
+    assert n - g.in_degrees[-1] == first
 
 
 @given(non_decreasing_caps(max_order=14))

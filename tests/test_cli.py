@@ -427,6 +427,16 @@ def test_arc_budget_is_checked_before_the_output_is_opened(tmp_path, capsys, fmt
         assert target.read_text() == existing
 
 
+@pytest.mark.parametrize("fmt", [["json"], ["json", "--arcs"], ["dot-directed"],
+                                 ["dot-underlying"]])
+def test_negative_arc_budget_is_an_input_error(tmp_path, capsys, fmt):
+    target = tmp_path / "graph.out"
+    code, out, err = run(capsys, "export", "--f", "x^2", "--n", "1", "--format", *fmt,
+                         "--arc-budget=-5", "--out", str(target))
+    assert (code, out, err) == (1, "", "error: --arc-budget must be >= 0, got -5\n")
+    assert not target.exists()
+
+
 def _assert_one_output_error(code, err):
     assert code == 1
     assert err.startswith("error: cannot write the output: ")
@@ -563,7 +573,7 @@ def _argv(draw):
         opts = {"--f": draw(_POLYNOMIALS), "--n": draw(_ORDERS),
                 "--format": draw(st.sampled_from(["json", "dot-directed", "dot-underlying"])),
                 "--arcs": draw(st.booleans()),
-                "--arc-budget": draw(st.sampled_from([None, None, "0", "5", "50", "100000"]))}
+                "--arc-budget": draw(st.sampled_from([None, None, "-1", "0", "5", "50", "100000"]))}
     else:
         opts = {"--prop": draw(st.sampled_from(verify.available_properties())),
                 "--n": draw(st.integers(-1, 5).map(str)),

@@ -1,4 +1,6 @@
 import inspect
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -137,6 +139,22 @@ def test_hope_subgraph_examples():
 def test_hope_fails_over_disconnected_constant_graph():
     with pytest.raises(HopeNotCompleteError):
         hope_subgraph(build(IncidencePolynomial(0, 0, 3), 8))
+
+
+def test_hope_subgraph_lists_no_jaconian_set():
+    # under constant incidence the Jaconian set covers nearly every vertex,
+    # and the Hope check needs only its first member
+    n = 200_089
+    g = build(parse("3"), n)
+    message = rf"^vertex 2 reaches only 4 < n = {n}; the range 2\.\.{n} is not complete$"
+    with pytest.raises(HopeNotCompleteError, match=message):
+        tracemalloc.start()
+        try:
+            hope_subgraph(g)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert peak < sys.getsizeof(tuple(range(n))) // 100, peak
 
 
 @given(polynomials(), st.integers(1, 80))
