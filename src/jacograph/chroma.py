@@ -45,6 +45,14 @@ weight vector is the only optimal one, and it is the canonical colouring
 above.  Min-sum colouring is NP-hard on interval graphs in general (Marx
 2005), not on proper ones; other graphs go through the partition search,
 practical up to roughly 25 vertices.
+
+First-fit colours every prefix of a certified graph as it colours the
+whole.  The prefix 1..k has caps min(cap(u), k), and for v <= k,
+min(cap(u), k) >= v exactly when cap(u) >= v, so each v <= k sees the same
+earlier neighbours in both and takes the same colour.  The order-k
+report is therefore read off the running class sizes, sum of colours and
+sum of squared colours of one first-fit over the whole graph; for an
+underlying Jaco graph the prefix is the underlying order-k graph.
 """
 
 from __future__ import annotations
@@ -520,27 +528,47 @@ def greedy_min_sum(
     return ProperColouring(assignment=tuple(assignment), k=colour, weights=tuple(weights))
 
 
-def chroma_report(
-    graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET
-) -> ChromaticReport:
-    """Full chromatic-sum report.
+def _report(order: int, weights: tuple[int, ...], s1: int, s2: int) -> ChromaticReport:
+    """The report of a minimum-sum colouring of ``order`` vertices with
+    class sizes ``weights``, colour sum ``s1`` and squared-colour sum ``s2``.
 
     The maximum side is read off the minimum by the colour reversal c ->
     chi + 1 - c: the weights reverse, the mean reflects about (chi + 1) / 2
     and the variance stays.
     """
-    minimum = min_sum_colouring(graph, node_budget)
-    chi = minimum.k
-    chi_minus = colour_sum(minimum)
-    mu_minus, var_minus = chromatic_stats(minimum)
+    chi = len(weights)
+    mu = Fraction(s1, order)
+    var = Fraction(s2, order) - mu * mu
     return ChromaticReport(
         chi=chi,
-        chi_minus=chi_minus,
-        chi_plus=(chi + 1) * graph.order - chi_minus,
-        weights_min=minimum.weights,
-        weights_max=minimum.weights[::-1],
-        mu_minus=mu_minus,
-        mu_plus=chi + 1 - mu_minus,
-        var_minus=var_minus,
-        var_plus=var_minus,
+        chi_minus=s1,
+        chi_plus=(chi + 1) * order - s1,
+        weights_min=weights,
+        weights_max=weights[::-1],
+        mu_minus=mu,
+        mu_plus=chi + 1 - mu,
+        var_minus=var,
+        var_plus=var,
     )
+
+
+def chroma_report(
+    graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET
+) -> ChromaticReport:
+    """Full chromatic-sum report of the minimum-sum colouring."""
+    weights = min_sum_colouring(graph, node_budget).weights
+    return _report(graph.order, weights, _weighted_sum(weights),
+                   _weighted_sum(map(mul, weights, count(1))))
+
+
+def _prefix_reports(graph: SimpleGraph) -> Iterator[ChromaticReport]:
+    """``chroma_report`` of the prefix 1..k of a certified graph, for
+    k = 1..order, all read off one first-fit (see the module docstring)."""
+    weights, s1, s2 = [], 0, 0
+    for k, colour in enumerate(_first_fit(graph.interval_caps).assignment, start=1):
+        if colour > len(weights):
+            weights.append(0)
+        weights[colour - 1] += 1
+        s1 += colour
+        s2 += colour * colour
+        yield _report(k, tuple(weights), s1, s2)

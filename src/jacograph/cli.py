@@ -19,7 +19,7 @@ Output goes to standard output, or to ``--out``.  An ``--out`` whose
 directory is missing, or that names a directory, is refused before any
 work.  ``export`` writes it one vertex at a time straight from the reaches,
 after checking the arc budget, so the arcs are never held in memory all at
-once.
+once; ``table3`` writes each row as it reads it off one build.
 
 Exit codes: 0 success, 1 usage or input error, or output that cannot be
 written, 2 verification failure, 3 budget exceeded.
@@ -43,7 +43,7 @@ from .braided import (
     realize,
 )
 from .builder import DEFAULT_ARC_BUDGET, build, check_arc_budget
-from .chroma import chroma_report, underlying_graph
+from .chroma import ChromaticReport, _prefix_reports, chroma_report, underlying_graph
 from .errors import (
     ArcBudgetExceededError,
     InvalidOrderError,
@@ -247,26 +247,28 @@ def cmd_table3(args) -> int:
     p = parse(args.f)
     if args.n < 1:
         raise InvalidOrderError(f"--n must be >= 1, got {args.n}")
-    lines = []
-    for i in range(1, args.n + 1):
-        report = chroma_report(underlying_graph(build(p, i)))
-        cells = (
-            str(report.chi_minus),
-            str(report.chi_plus),
-            _fmt_fraction(report.mu_minus),
-            _fmt_fraction(report.mu_plus),
-            _fmt_fraction(report.var_minus),
-            _fmt_fraction(report.var_plus),
-        )
-        fields = [str(i), *cells]
-        if args.weights:
-            fields.append(_fmt_weights(report.weights_min))
-            fields.append(_fmt_weights(report.weights_max))
-        if args.show_paper_errata:
-            published = _PUBLISHED_TABLE3_X2.get(i) if p == X_SQUARED else None
-            fields.append(_errata_cell(published, _TABLE3_COLUMNS, cells))
-        lines.append("\t".join(fields))
-    _write_lines(args, lines)
+
+    def lines(reports: Iterator[ChromaticReport]) -> Iterator[str]:
+        for i, report in enumerate(reports, start=1):
+            cells = (
+                str(report.chi_minus),
+                str(report.chi_plus),
+                _fmt_fraction(report.mu_minus),
+                _fmt_fraction(report.mu_plus),
+                _fmt_fraction(report.var_minus),
+                _fmt_fraction(report.var_plus),
+            )
+            fields = [str(i), *cells]
+            if args.weights:
+                fields.append(_fmt_weights(report.weights_min))
+                fields.append(_fmt_weights(report.weights_max))
+            if args.show_paper_errata:
+                published = _PUBLISHED_TABLE3_X2.get(i) if p == X_SQUARED else None
+                fields.append(_errata_cell(published, _TABLE3_COLUMNS, cells))
+            yield "\t".join(fields) + "\n"
+
+    # built before the output is opened, which refuses an order past 64 bits
+    _write(args, lines(_prefix_reports(underlying_graph(build(p, args.n)))))
     return EXIT_OK
 
 
@@ -318,8 +320,9 @@ def cmd_braided(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.colouring_n < 1:
-        raise InvalidOrderError(f"--colouring-n must be >= 1, got {args.colouring_n}")
+    for option, order in (("--colouring-n", args.colouring_n), ("--n", args.n)):
+        if order < 1:
+            raise InvalidOrderError(f"{option} must be >= 1, got {order}")
     polys = tuple(parse(text) for text in args.f) if args.f else None
     cfg = VerifyConfig(
         polynomials=polys,

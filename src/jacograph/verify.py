@@ -8,8 +8,9 @@ fails the run.
 
 Properties are named only in ``PROPERTIES``: ``run`` creates each
 :class:`PropertyResult` and passes it in, and a property records its
-checks and notes on it.  Laws stated order by order read the order-k
-graphs as prefixes of one build.
+checks and notes on it.  ``run`` skips, with a note, the laws stated for
+x^2 alone when x^2 is not selected.  Laws stated order by order read the
+order-k graphs as prefixes of one build.
 """
 
 from __future__ import annotations
@@ -295,9 +296,6 @@ def prop_degree_jump_bound(cfg: VerifyConfig, res: PropertyResult) -> None:
 
 
 def prop_jaconian_plateau(cfg: VerifyConfig, res: PropertyResult) -> None:
-    if not cfg.includes_x_squared():
-        res.notes.append("defined for x^2 only; skipped for this polynomial selection")
-        return
     # (in-degree of v_n, Jaconian set size) of the order-n graph
     orders = (
         (g.in_degrees[-1], degrees.count(max(degrees)))
@@ -433,9 +431,6 @@ def prop_greedy_agreement(cfg: VerifyConfig, res: PropertyResult) -> None:
     reported as a failure so it cannot pass silently.  The exact side runs
     the partition search on the graph stripped of its interval certificate,
     since on the certified graph both sides read the same first-fit."""
-    if not cfg.includes_x_squared():
-        res.notes.append("defined for x^2 only; skipped for this polynomial selection")
-        return
     for i in range(1, 21):
         g = chroma.underlying_graph(build(X_SQUARED, i))
         exact = chroma.min_sum_colouring(chroma.SimpleGraph(g.order, g.adjacency))
@@ -474,9 +469,6 @@ def prop_braided_closed_forms(cfg: VerifyConfig, res: PropertyResult) -> None:
 
 
 def prop_weight_evolution(cfg: VerifyConfig, res: PropertyResult) -> None:
-    if not cfg.includes_x_squared():
-        res.notes.append("defined for x^2 only; skipped for this polynomial selection")
-        return
     previous: tuple[int, ...] | None = None
     for i in range(1, 21):
         weights = chroma.min_sum_colouring(
@@ -499,9 +491,6 @@ def prop_weight_evolution(cfg: VerifyConfig, res: PropertyResult) -> None:
 
 
 def prop_variance_symmetry(cfg: VerifyConfig, res: PropertyResult) -> None:
-    if not cfg.includes_x_squared():
-        res.notes.append("defined for x^2 only; skipped for this polynomial selection")
-        return
     for i in range(1, 21):
         graph = chroma.underlying_graph(build(X_SQUARED, i))
         report = chroma.chroma_report(graph)
@@ -559,6 +548,10 @@ PROPERTIES = (
 )
 
 
+# the laws stated for the reference family only
+_X_SQUARED_ONLY = {"jaconian-plateau", "greedy-agreement", "weight-evolution", "variance-symmetry"}
+
+
 def available_properties() -> tuple[str, ...]:
     return tuple(name for name, _ in PROPERTIES)
 
@@ -580,7 +573,10 @@ def run(cfg: VerifyConfig | None = None, only: tuple[str, ...] | None = None) ->
     try:
         for name, func in selected:
             res = PropertyResult(name)
-            func(cfg, res)
+            if name in _X_SQUARED_ONLY and not cfg.includes_x_squared():
+                res.notes.append("defined for x^2 only; skipped for this polynomial selection")
+            else:
+                func(cfg, res)
             results.append(res)
     finally:
         _degree_sweep.cache_clear()

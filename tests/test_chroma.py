@@ -24,6 +24,7 @@ from jacograph import (
     reverse_colouring,
     underlying_graph,
 )
+from jacograph.chroma import _prefix_reports
 from jacograph.oracle import exhaustive_min_sum
 from conftest import non_decreasing_caps, polynomials, product_sum_range, small_graphs
 
@@ -172,6 +173,26 @@ def test_chroma_report_examples():
 
     three = chroma_report(jaco_underlying(3))
     assert (three.chi_minus, three.chi_plus) == (4, 5)
+
+
+@pytest.mark.parametrize("p", [
+    IncidencePolynomial(a, b, c) for a in range(3) for b in range(3) for c in range(5)
+])
+def test_prefix_reports_match_each_literal_order(p):
+    n = 120
+    reports = list(_prefix_reports(jaco_underlying(n, p)))
+    assert reports == [chroma_report(jaco_underlying(k, p)) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("orders, overlaps", [((7, 5), (3,)), ((6, 6, 6), (3, 3)), ((40,), ())])
+def test_prefix_reports_match_each_literal_braid_prefix(orders, overlaps):
+    graph = realize(BraidedString(orders, overlaps))
+    caps = graph.interval_caps
+    reports = list(_prefix_reports(graph))
+    assert reports == [
+        chroma_report(SimpleGraph.from_intervals(min(c, k) for c in caps[:k]))
+        for k in range(1, len(caps) + 1)
+    ]
 
 
 def test_proper_colouring_validation():

@@ -260,6 +260,11 @@ def test_verify_restricted_polynomial(capsys):
                        "--colouring-n", "8")
     assert code == 0
     assert "properties passed" in out
+    # exactly the laws stated for x^2 alone are skipped, each with a note
+    skipped = [line.split(":")[0].split()[1] for line in out.splitlines()
+               if line.endswith(": defined for x^2 only; skipped for this polynomial selection")]
+    assert skipped == ["jaconian-plateau", "greedy-agreement", "weight-evolution",
+                       "variance-symmetry"]
 
 
 def test_verify_constant_incidence(capsys):
@@ -325,6 +330,20 @@ def test_verify_rejects_colouring_order_below_one(capsys):
     assert err == "error: --colouring-n must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "0"),
+    ("--n", "0", "--prop", "forward-difference"),
+    ("--prop", "parse-roundtrip", "--n", "0"),
+    ("--prop", "smallest-max-degree-locator", "--n", "-2"),
+    ("--prop", "delta-monotone", "--n", "0"),
+])
+def test_verify_rejects_order_below_one_before_any_work(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --n must be >= 1, got {argv[argv.index('--n') + 1]}\n"
+
+
 ZERO_OVERLAP_WARNING = (
     "warning: overlap 0 joins blocks disjointly; the result is a disjoint"
     " union rather than a braided string\n"
@@ -377,6 +396,12 @@ PINNED = [
      "c9a7834f352c5ebed98f0b98047568c903444e2e19cee455232ab16365ee8577"),
     ("table3 --f 2*x+1 --n 150 --weights",
      "e2271292ef92db3c1fa288bc10782d8a7a255c733c044811b82dee0bc0491caf"),
+    ("table3 --f x^2 --n 800 --weights",
+     "67e5f19d5bd5040308ee153428fedd9ac8ccce536afc5fb14d5788f2143b1dd5"),
+    ("table3 --f 2 --n 2000 --weights",
+     "b4113efede848f9890bc56094cbbd3a1748a492ec017d7eb929de63686f2dc72"),
+    ("table3 --f x+2 --n 1000",
+     "c65867b3fe604d4f0952494501f23dc8cef73be7235f3d4ac261b216e77b0f24"),
     ("braided --orders 7,5 --overlaps 3 --erratum --show-paper-errata",
      "0873e662324963b4cd66e5a494155e49ae64292e3e29cd2ea88b9d49b024c8b0"),
     ("verify --prop greedy-agreement",
@@ -494,19 +519,30 @@ def test_closed_pipe_is_an_output_error(argv):
     _assert_one_output_error(proc.returncode, proc.stderr)
 
 
-def test_table1_past_the_64_bit_range_is_an_input_error():
-    # the order is refused by the build before anything of size n is made;
-    # the address-space limit keeps a regression from taking the machine
+def _past_64_bits(command):
+    """Run ``jaco command --f x^2 --n 4000000000`` in a fresh interpreter.
+    The order is refused by the build before anything of size n is made;
+    the address-space limit keeps a regression from taking the machine, and
+    the timeout from holding it."""
     resource = pytest.importorskip("resource")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    proc = _python(["-m", "jacograph", "table1", "--f", "x^2", "--n", "4000000000"],
+    proc = _python(["-m", "jacograph", command, "--f", "x^2", "--n", "4000000000"],
                    preexec_fn=limit, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == ("error: f(4000000000) = 16000000000000000000 exceeds the 64-bit range;"
                            " reduce the order\n")
+
+
+def test_table1_past_the_64_bit_range_is_an_input_error():
+    _past_64_bits("table1")
+
+
+def test_table3_past_the_64_bit_range_is_an_input_error():
+    # a table built order by order would run here for hours, one row at a time
+    _past_64_bits("table3")
 
 
 def _peak_rss_mb(argv):
