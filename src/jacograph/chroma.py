@@ -534,19 +534,24 @@ def _report(order: int, weights: tuple[int, ...], s1: int, s2: int) -> Chromatic
 
     The maximum side is read off the minimum by the colour reversal c ->
     chi + 1 - c: the weights reverse, the mean reflects about (chi + 1) / 2
-    and the variance stays.
+    and the variance stays.  Each rational is built once from the integer
+    sums, with no Fraction arithmetic:
+
+        mu_minus = s1 / n
+        mu_plus  = ((chi + 1) * n - s1) / n
+        var      = (n * s2 - s1^2) / n^2   (both sides)
     """
     chi = len(weights)
-    mu = Fraction(s1, order)
-    var = Fraction(s2, order) - mu * mu
+    chi_plus = (chi + 1) * order - s1
+    var = Fraction(order * s2 - s1 * s1, order * order)
     return ChromaticReport(
         chi=chi,
         chi_minus=s1,
-        chi_plus=(chi + 1) * order - s1,
+        chi_plus=chi_plus,
         weights_min=weights,
         weights_max=weights[::-1],
-        mu_minus=mu,
-        mu_plus=chi + 1 - mu,
+        mu_minus=Fraction(s1, order),
+        mu_plus=Fraction(chi_plus, order),
         var_minus=var,
         var_plus=var,
     )

@@ -19,10 +19,11 @@ Output goes to standard output, or to ``--out``.  An ``--out`` whose
 directory is missing, or that names a directory, is refused before any
 work.  ``export`` writes it one vertex at a time straight from the reaches,
 after checking the arc budget, so the arcs are never held in memory all at
-once; ``table3`` writes each row as it reads it off one build.
+once.  Every command writes each line as it is made; ``table3`` reads its
+rows off one build.
 
 Exit codes: 0 success, 1 usage or input error, or output that cannot be
-written, 2 verification failure, 3 budget exceeded.
+written, 2 verification failure, 3 budget exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ def _check_out(path: str) -> None:
     except OSError as exc:
         refused = OSError(exc.errno, exc.strerror, path)
         raise _UsageError(f"cannot write the output: {refused}") from exc
-
-
-def _write_lines(args, lines: list[str]) -> None:
-    _write(args, ("\n".join(lines), "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +221,24 @@ def cmd_table1(args) -> int:
     rows = construction_table(p, args.n)
     first = next(rows)  # builds the graph, which refuses an order past 64 bits
     names = list(map(str, range(args.n + 1)))
-    lines = []
-    for k, in_degree, out_degree_root, jaconian_set, max_degree, dist in chain((first,), rows):
-        cells = (
-            str(in_degree),
-            str(out_degree_root),
-            # one contiguous run, written by slicing the names
-            ",".join(names[jaconian_set[0]:jaconian_set[-1] + 1]),
-            str(max_degree),
-            "-" if dist is None else str(dist),
-        )
-        fields = [names[k], *cells]
-        if args.show_paper_errata:
-            published = _PUBLISHED_TABLE1_X2.get(k) if p == X_SQUARED else None
-            fields.append(_errata_cell(published, _TABLE1_COLUMNS, cells))
-        lines.append("\t".join(fields))
-    _write_lines(args, lines)
+
+    def lines() -> Iterator[str]:
+        for k, in_degree, out_degree_root, jaconian_set, max_degree, dist in chain((first,), rows):
+            cells = (
+                str(in_degree),
+                str(out_degree_root),
+                # one contiguous run, written by slicing the names
+                ",".join(names[jaconian_set[0]:jaconian_set[-1] + 1]),
+                str(max_degree),
+                "-" if dist is None else str(dist),
+            )
+            fields = [names[k], *cells]
+            if args.show_paper_errata:
+                published = _PUBLISHED_TABLE1_X2.get(k) if p == X_SQUARED else None
+                fields.append(_errata_cell(published, _TABLE1_COLUMNS, cells))
+            yield "\t".join(fields) + "\n"
+
+    _write(args, lines())
     return EXIT_OK
 
 
@@ -315,7 +314,7 @@ def cmd_braided(args) -> int:
         key = (max(orders), min(orders), overlaps[0]) if len(orders) == 2 else None
         computed = (_fmt_fraction(report.var_plus),)
         cells.append(_errata_cell(_PUBLISHED_BRAIDED.get(key), _BRAIDED_COLUMNS, computed))
-    _write_lines(args, ["\t".join(cells)])
+    _write(args, ("\t".join(cells), "\n"))
     return EXIT_OK
 
 
@@ -334,23 +333,23 @@ def cmd_verify(args) -> int:
         results = run_verify(cfg, only)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    lines = []
-    failed = 0
-    total_checks = 0
-    for res in results:
-        status = "ok" if res.ok else "FAIL"
-        lines.append(f"{status:<4} {res.name:<28} checks={res.checks}")
-        for note in res.notes:
-            lines.append(f"note {res.name}: {note}")
-        for failure in res.failures:
-            lines.append(f"FAIL {res.name}: {failure}")
-        failed += 0 if res.ok else 1
-        total_checks += res.checks
-    if failed:
-        lines.append(f"{failed} of {len(results)} properties failed")
-    else:
-        lines.append(f"all {len(results)} properties passed ({total_checks} checks)")
-    _write_lines(args, lines)
+    failed = sum(not res.ok for res in results)
+
+    def lines() -> Iterator[str]:
+        for res in results:
+            status = "ok" if res.ok else "FAIL"
+            yield f"{status:<4} {res.name:<28} checks={res.checks}\n"
+            for note in res.notes:
+                yield f"note {res.name}: {note}\n"
+            for failure in res.failures:
+                yield f"FAIL {res.name}: {failure}\n"
+        if failed:
+            yield f"{failed} of {len(results)} properties failed\n"
+        else:
+            total_checks = sum(res.checks for res in results)
+            yield f"all {len(results)} properties passed ({total_checks} checks)\n"
+
+    _write(args, lines())
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
@@ -486,6 +485,9 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, JacoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; try a smaller input", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 def entrypoint() -> None:

@@ -116,12 +116,12 @@ def parse(text: str) -> IncidencePolynomial:
     pos = 0
     length = len(text)
     while True:
-        while pos < length and text[pos].isspace():
-            pos += 1
-        start = pos
-        while pos < length and text[pos] != "+":
-            pos += 1
-        compact = re.sub(r"\s+", "", text[start:pos])
+        end = text.find("+", pos)
+        if end < 0:
+            end = length
+        term = text[pos:end].lstrip()
+        start = end - len(term)
+        compact = "".join(term.split())  # split() and lstrip() drop what \s matches
         if not compact:
             raise PolynomialParseError("empty term", start)
         for pattern, key in _TERM_PATTERNS:
@@ -133,7 +133,7 @@ def parse(text: str) -> IncidencePolynomial:
                 break
         else:
             raise PolynomialParseError(f"unrecognized term {compact!r}", start)
-        if pos >= length:
+        if end == length:
             break
-        pos += 1  # skip '+'
+        pos = end + 1  # skip '+'
     return IncidencePolynomial(coeffs.get("a", 0), coeffs.get("b", 0), coeffs.get("c", 0))

@@ -24,7 +24,7 @@ from jacograph import (
     reverse_colouring,
     underlying_graph,
 )
-from jacograph.chroma import _prefix_reports
+from jacograph.chroma import _prefix_reports, _report
 from jacograph.oracle import exhaustive_min_sum
 from conftest import non_decreasing_caps, polynomials, product_sum_range, small_graphs
 
@@ -193,6 +193,28 @@ def test_prefix_reports_match_each_literal_braid_prefix(orders, overlaps):
         chroma_report(SimpleGraph.from_intervals(min(c, k) for c in caps[:k]))
         for k in range(1, len(caps) + 1)
     ]
+
+
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=40).map(lambda w: sorted(w, reverse=True)))
+@example([1])  # chi = 1 = n
+@example([9])  # chi = 1
+@example([1] * 17)  # chi = n
+@example([5, 3, 3, 1])
+def test_report_closed_forms_match_fraction_arithmetic(weights):
+    weights = tuple(weights)
+    minimum = ProperColouring(
+        tuple(c for c, w in enumerate(weights, start=1) for _ in range(w)), len(weights), weights
+    )
+    maximum = reverse_colouring(minimum)
+    s1 = sum(c * w for c, w in enumerate(weights, start=1))
+    s2 = sum(c * c * w for c, w in enumerate(weights, start=1))
+    report = _report(len(minimum.assignment), weights, s1, s2)
+    assert (report.chi, report.weights_min, report.weights_max) == (
+        len(weights), weights, maximum.weights
+    )
+    assert (report.chi_minus, report.chi_plus) == (colour_sum(minimum), colour_sum(maximum))
+    assert (report.mu_minus, report.var_minus) == chromatic_stats(minimum)
+    assert (report.mu_plus, report.var_plus) == chromatic_stats(maximum)
 
 
 def test_proper_colouring_validation():

@@ -519,18 +519,23 @@ def test_closed_pipe_is_an_output_error(argv):
     _assert_one_output_error(proc.returncode, proc.stderr)
 
 
+def _jaco_limited(argv, address_space):
+    """Run ``jaco argv`` in a fresh interpreter whose address space is
+    limited to ``address_space`` bytes; the limit is set in the child only."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return _python(["-m", "jacograph", *argv], preexec_fn=limit, capture_output=True, text=True)
+
+
 def _past_64_bits(command):
     """Run ``jaco command --f x^2 --n 4000000000`` in a fresh interpreter.
     The order is refused by the build before anything of size n is made;
     the address-space limit keeps a regression from taking the machine, and
     the timeout from holding it."""
-    resource = pytest.importorskip("resource")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    proc = _python(["-m", "jacograph", command, "--f", "x^2", "--n", "4000000000"],
-                   preexec_fn=limit, capture_output=True, text=True)
+    proc = _jaco_limited([command, "--f", "x^2", "--n", "4000000000"], 2**30)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == ("error: f(4000000000) = 16000000000000000000 exceeds the 64-bit range;"
                            " reduce the order\n")
@@ -543,6 +548,13 @@ def test_table1_past_the_64_bit_range_is_an_input_error():
 def test_table3_past_the_64_bit_range_is_an_input_error():
     # a table built order by order would run here for hours, one row at a time
     _past_64_bits("table3")
+
+
+def test_running_out_of_memory_is_a_budget_error():
+    # realizing 200,000,005 caps needs gigabytes; 768 MB fails within a second
+    proc = _jaco_limited(["braided", "--orders", "200000000,5", "--overlaps", "3"], 768 * 2**20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: out of memory; try a smaller input\n"
 
 
 def _peak_rss_mb(argv):
@@ -568,6 +580,15 @@ def test_export_holds_no_more_than_a_vertex_at_a_time(tmp_path):
                            "--out", str(tmp_path / "graph.dot")])
     baseline = _peak_rss_mb(["table1", "--f", "x^2", "--n", "3"])
     assert export - baseline <= 25, (export, baseline)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs procfs")
+def test_table1_holds_no_more_than_a_row_at_a_time(tmp_path):
+    # every constant Jaconian set covers almost its whole prefix: 3000 rows
+    # make 20 MB of output, which joined whole cost about 60 MB more
+    table = _peak_rss_mb(["table1", "--f", "3", "--n", "3000", "--out", str(tmp_path / "t1.tsv")])
+    baseline = _peak_rss_mb(["table1", "--f", "x^2", "--n", "3"])
+    assert table - baseline <= 15, (table, baseline)
 
 
 # --- the argv grammar: every drawn command line ends in a documented code ----

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jacograph import (
     ArithmeticOverflowError,
@@ -78,6 +80,57 @@ def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(PolynomialParseError) as err:
         parse(text)
     assert err.value.offset == offset
+
+
+_REFERENCE_TERMS = (
+    (re.compile(r"(?:(\d+)\*)?x\^2\Z"), "a"),
+    (re.compile(r"(?:(\d+)\*)?x\Z"), "b"),
+    (re.compile(r"(\d+)\Z"), "c"),
+)
+
+
+def reference_parse(text):
+    """The character-walking parser that ``parse`` replaced, kept verbatim."""
+    coeffs = {}
+    pos = 0
+    length = len(text)
+    while True:
+        while pos < length and text[pos].isspace():
+            pos += 1
+        start = pos
+        while pos < length and text[pos] != "+":
+            pos += 1
+        compact = re.sub(r"\s+", "", text[start:pos])
+        if not compact:
+            raise PolynomialParseError("empty term", start)
+        for pattern, key in _REFERENCE_TERMS:
+            m = pattern.match(compact)
+            if m:
+                if key in coeffs:
+                    raise PolynomialParseError(f"duplicate {key!r} term", start)
+                coeffs[key] = int(m.group(1)) if m.group(1) is not None else 1
+                break
+        else:
+            raise PolynomialParseError(f"unrecognized term {compact!r}", start)
+        if pos >= length:
+            break
+        pos += 1  # skip '+'
+    return IncidencePolynomial(coeffs.get("a", 0), coeffs.get("b", 0), coeffs.get("c", 0))
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except PolynomialParseError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+@given(st.text(alphabet="x^*+0123456789 \t\n\r\x0b\x0c\xa0\u2003\x1c", max_size=16))
+@example(" \xa0x^2 +\u20033 * x+ 1\x1c")
+@example("x^2+\u2003+x")
+@example("+")
+def test_parse_matches_the_reference_parser(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
 
 
 def test_format_examples():
