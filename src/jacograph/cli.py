@@ -80,10 +80,6 @@ class _Parser(argparse.ArgumentParser):
         return parsed
 
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _fmt_weights(weights: tuple[int, ...]) -> str:
     return ",".join(map(str, weights))
 
@@ -252,10 +248,10 @@ def cmd_table3(args) -> int:
             cells = (
                 str(report.chi_minus),
                 str(report.chi_plus),
-                _fmt_fraction(report.mu_minus),
-                _fmt_fraction(report.mu_plus),
-                _fmt_fraction(report.var_minus),
-                _fmt_fraction(report.var_plus),
+                str(report.mu_minus),
+                str(report.mu_plus),
+                str(report.var_minus),
+                str(report.var_plus),
             )
             fields = [str(i), *cells]
             if args.weights:
@@ -301,18 +297,18 @@ def cmd_braided(args) -> int:
         str(report.chi),
         str(report.chi_minus),
         str(report.chi_plus),
-        _fmt_fraction(report.mu_minus),
-        _fmt_fraction(report.mu_plus),
-        _fmt_fraction(report.var_minus),
+        str(report.mu_minus),
+        str(report.mu_plus),
+        str(report.var_minus),
     ]
     if args.erratum:
         if len(orders) == 2:
-            cells.append(_fmt_fraction(mu_max_two_block_superseded(orders[0], orders[1], overlaps[0])))
+            cells.append(str(mu_max_two_block_superseded(orders[0], orders[1], overlaps[0])))
         else:
             cells.append("-")
     if args.show_paper_errata:
         key = (max(orders), min(orders), overlaps[0]) if len(orders) == 2 else None
-        computed = (_fmt_fraction(report.var_plus),)
+        computed = (str(report.var_plus),)
         cells.append(_errata_cell(_PUBLISHED_BRAIDED.get(key), _BRAIDED_COLUMNS, computed))
     _write(args, ("\t".join(cells), "\n"))
     return EXIT_OK

@@ -11,6 +11,15 @@ Properties are named only in ``PROPERTIES``: ``run`` creates each
 checks and notes on it.  ``run`` skips, with a note, the laws stated for
 x^2 alone when x^2 is not selected.  Laws stated order by order read the
 order-k graphs as prefixes of one build.
+
+Seven of them read one small record per order k, made once per polynomial
+in a ``run`` from the literal underlying degrees of the order-k graph: k
+and the in-degree of v_k; the maximum degree Delta and the minimum degree;
+the first index (the prime), last index and count of Delta; whether the
+prime has degree f(prime) and every earlier vertex m has f(m); and whether
+some step |d_i - d_(i-1)| exceeds a(2i-1)+b.  Each prefix's degree tuple
+is dropped once its record is made, so only one is alive at a time and a
+run holds O(n) per polynomial.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import pairwise
-from typing import Iterator
+from operator import gt, sub
+from typing import NamedTuple
 
 from . import braided, chroma, oracle
 from .builder import JacoGraph, arcs, build
@@ -104,22 +114,41 @@ class VerifyConfig:
         return self.polynomials is None or X_SQUARED in self.polynomials
 
 
+class _Order(NamedTuple):
+    """What the order-k laws read off the underlying degrees of the order-k
+    graph.  Vertex indices are 1-based."""
+
+    order: int
+    indegree: int  # of v_k
+    delta: int
+    min_degree: int
+    first: int  # first, last index and count of a vertex of degree delta
+    last: int
+    count: int
+    prime_full: bool  # v_first has degree f(first)
+    before_prime_full: bool  # every v_m, m < first, has degree f(m)
+    jump: bool  # some |d_i - d_(i-1)| exceeds a(2i-1)+b
+
+
 @cache
-def _degree_sweep(p: IncidencePolynomial, n: int) -> tuple[tuple[int, ...], ...]:
-    """The underlying degrees of the order-k graph for k = 1..n: one literal
-    sweep, shared by every law that reads it during a ``run``."""
-    return tuple(map(underlying_degrees, _prefixes(p, n)))
-
-
-def _prefix_degrees(
-    p: IncidencePolynomial, n: int
-) -> Iterator[tuple[JacoGraph, tuple[int, ...]]]:
-    """The order-k graph and its underlying degrees, for k = 1..n."""
-    return zip(_prefixes(p, n), _degree_sweep(p, n))
-
-
-def _label(p: IncidencePolynomial) -> str:
-    return format_polynomial(p)
+def _degree_sweep(p: IncidencePolynomial, n: int) -> tuple[_Order, ...]:
+    """One record per order k = 1..n, read off the underlying degrees of the
+    literal order-k graph, which are dropped once read: one sweep, shared by
+    every law that reads it during a ``run``."""
+    full = tuple(evaluate(p, m) for m in range(1, n + 1))  # the full degree f(m) of v_m
+    bounds = tuple(p.a * (2 * i - 1) + p.b for i in range(2, n + 1))
+    records = []
+    for g in _prefixes(p, n):
+        degrees = underlying_degrees(g)
+        k, delta = g.n, max(degrees)
+        first = degrees.index(delta) + 1
+        records.append(_Order(
+            k, g.in_degrees[-1], delta, min(degrees),
+            first, k - degrees[::-1].index(delta), degrees.count(delta),
+            degrees[first - 1] == full[first - 1], degrees[: first - 1] == full[: first - 1],
+            any(map(gt, map(abs, map(sub, degrees[1:], degrees)), bounds)),
+        ))
+    return tuple(records)
 
 
 def _reversed_variance(graph: chroma.SimpleGraph):
@@ -133,10 +162,10 @@ def prop_forward_difference(cfg: VerifyConfig, res: PropertyResult) -> None:
         for x in range(1, min(cfg.n_max, 200)):
             diff = evaluate(p, x + 1) - evaluate(p, x)
             expected = p.a * (2 * x + 1) + p.b
-            res.check(diff == expected, f"{_label(p)}: f({x + 1})-f({x}) = {diff} != {expected}")
+            res.check(diff == expected, f"{format_polynomial(p)}: f({x + 1})-f({x}) = {diff} != {expected}")
             res.check(
                 forward_difference_bound(p, x + 1) == diff,
-                f"{_label(p)}: difference bound at {x + 1} differs from the exact difference",
+                f"{format_polynomial(p)}: difference bound at {x + 1} differs from the exact difference",
             )
 
 
@@ -159,7 +188,7 @@ def prop_definitional_replay(cfg: VerifyConfig, res: PropertyResult) -> None:
         literal = oracle.arcs_by_definition(p, n)
         res.check(
             fast == literal,
-            f"{_label(p)}: builder arcs differ from the definitional oracle at n={n}",
+            f"{format_polynomial(p)}: builder arcs differ from the definitional oracle at n={n}",
         )
 
 
@@ -168,10 +197,10 @@ def prop_reach_monotone(cfg: VerifyConfig, res: PropertyResult) -> None:
         g = build(p, cfg.n_max)
         r = g.reaches
         non_dec = all(r[i] <= r[i + 1] for i in range(len(r) - 1))
-        res.check(non_dec, f"{_label(p)}: reach decreases somewhere below n={cfg.n_max}")
+        res.check(non_dec, f"{format_polynomial(p)}: reach decreases somewhere below n={cfg.n_max}")
         if p.a >= 1:
             strict = all(r[i] < r[i + 1] for i in range(len(r) - 1))
-            res.check(strict, f"{_label(p)}: quadratic reach fails to strictly increase")
+            res.check(strict, f"{format_polynomial(p)}: quadratic reach fails to strictly increase")
 
 
 def prop_indegree_steps(cfg: VerifyConfig, res: PropertyResult) -> None:
@@ -180,7 +209,7 @@ def prop_indegree_steps(cfg: VerifyConfig, res: PropertyResult) -> None:
         d = g.in_degrees
         res.check(
             all(d[i + 1] - d[i] in (0, 1) for i in range(len(d) - 1)),
-            f"{_label(p)}: in-degree step outside {{0, 1}}",
+            f"{format_polynomial(p)}: in-degree step outside {{0, 1}}",
         )
 
 
@@ -191,7 +220,7 @@ def prop_outdegree_distinct(cfg: VerifyConfig, res: PropertyResult) -> None:
         outs = [r - i for i, r in enumerate(g.reaches, start=1)]
         res.check(
             all(outs[i] != outs[i + 1] for i in range(len(outs) - 1)),
-            f"{_label(p)}: equal consecutive root out-degrees",
+            f"{format_polynomial(p)}: equal consecutive root out-degrees",
         )
         if not all(outs[i] < outs[i + 1] for i in range(len(outs) - 1)):
             strict_everywhere = False
@@ -208,54 +237,49 @@ def prop_truncation_coherence(cfg: VerifyConfig, res: PropertyResult) -> None:
             res.check(
                 part.in_degrees == full.in_degrees[:m]
                 and part.reaches == full.reaches[:m],
-                f"{_label(p)}: truncation to {m} changed in-degrees or reaches",
+                f"{format_polynomial(p)}: truncation to {m} changed in-degrees or reaches",
             )
             res.check(
                 all(part.out_degree(i) == min(part.reach(i), m) - i for i in range(1, m + 1)),
-                f"{_label(p)}: finite out-degree differs from min(reach, n) - i at n={m}",
+                f"{format_polynomial(p)}: finite out-degree differs from min(reach, n) - i at n={m}",
             )
 
 
 def prop_delta_monotone(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.structural_polys():
-        deltas = (max(degrees) for _, degrees in _prefix_degrees(p, cfg.n_max))
-        drop = next(
-            (k for k, (before, after) in enumerate(pairwise(deltas), start=2) if after < before),
-            None,
-        )
-        res.check(drop is None, f"{_label(p)}: maximum degree dropped when growing to order {drop}")
+        pairs = pairwise(_degree_sweep(p, cfg.n_max))
+        drop = next((after.order for before, after in pairs if after.delta < before.delta), None)
+        res.check(drop is None, f"{format_polynomial(p)}: maximum degree dropped when growing to order {drop}")
 
 
 def prop_min_degree_bound(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.structural_polys():
         f1 = evaluate(p, 1)
-        ok = all(0 <= min(degrees) <= f1 for _, degrees in _prefix_degrees(p, cfg.n_max))
-        res.check(ok, f"{_label(p)}: minimum degree left the range 0..f(1)")
+        ok = all(0 <= r.min_degree <= f1 for r in _degree_sweep(p, cfg.n_max))
+        res.check(ok, f"{format_polynomial(p)}: minimum degree left the range 0..f(1)")
 
 
 def prop_prime_full_degree_prefix(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.structural_polys():
-        for g, degrees in _prefix_degrees(p, cfg.n_max):
-            prime = degrees.index(max(degrees)) + 1
-            if degrees[prime - 1] == evaluate(p, prime):
+        for r in _degree_sweep(p, cfg.n_max):
+            if r.prime_full:
                 res.check(
-                    all(degrees[m - 1] == evaluate(p, m) for m in range(1, prime)),
-                    f"{_label(p)}, n={g.n}: prime at full degree but an earlier vertex is not",
+                    r.before_prime_full,
+                    f"{format_polynomial(p)}, n={r.order}: prime at full degree but an earlier vertex is not",
                 )
 
 
 def prop_milestone_prime(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.quadratic_polys():
-        for g, degrees in _prefix_degrees(p, cfg.n_max):
-            n = g.n
-            milestone = next((i for i in range(1, n) if g.reaches[i - 1] == n), None)
-            if milestone is None:
-                continue
-            prime = degrees.index(max(degrees)) + 1
-            res.check(
-                prime == milestone,
-                f"{_label(p)}, n={n}: vertex {milestone} has reach n but prime is {prime}",
-            )
+        reaches = build(p, cfg.n_max).reaches
+        for r in _degree_sweep(p, cfg.n_max):
+            if r.order in reaches[: r.order - 1]:
+                milestone = reaches.index(r.order) + 1
+                res.check(
+                    r.first == milestone,
+                    f"{format_polynomial(p)}, n={r.order}: vertex {milestone} has reach n"
+                    f" but prime is {r.first}",
+                )
 
 
 def prop_completeness_threshold(cfg: VerifyConfig, res: PropertyResult) -> None:
@@ -268,44 +292,30 @@ def prop_completeness_threshold(cfg: VerifyConfig, res: PropertyResult) -> None:
             rep = jaconian(g)
             res.check(
                 complete and rep.max_degree == k - 1 and len(rep.jaconian_set) == k,
-                f"{_label(p)}: order {k} <= f(1)+1 = {thr} is not complete",
+                f"{format_polynomial(p)}: order {k} <= f(1)+1 = {thr} is not complete",
             )
         if thr < cfg.n_max:
             g = build(p, thr + 1)
             res.check(
                 any(d != thr for d in underlying_degrees(g)),
-                f"{_label(p)}: order {thr + 1} > f(1)+1 is still complete",
+                f"{format_polynomial(p)}: order {thr + 1} > f(1)+1 is still complete",
             )
 
 
 def prop_degree_jump_bound(cfg: VerifyConfig, res: PropertyResult) -> None:
     # a quadratic-family law: constant incidence breaks it at block boundaries
     for p in cfg.quadratic_polys():
-        jump = next(
-            (
-                g.n
-                for g, degrees in _prefix_degrees(p, cfg.n_max)
-                if any(
-                    abs(degrees[i - 1] - degrees[i - 2]) > p.a * (2 * i - 1) + p.b
-                    for i in range(2, g.n + 1)
-                )
-            ),
-            None,
-        )
-        res.check(jump is None, f"{_label(p)}: degree jump exceeded a(2i-1)+b at order {jump}")
+        jump = next((r.order for r in _degree_sweep(p, cfg.n_max) if r.jump), None)
+        res.check(jump is None, f"{format_polynomial(p)}: degree jump exceeded a(2i-1)+b at order {jump}")
 
 
 def prop_jaconian_plateau(cfg: VerifyConfig, res: PropertyResult) -> None:
-    # (in-degree of v_n, Jaconian set size) of the order-n graph
-    orders = (
-        (g.in_degrees[-1], degrees.count(max(degrees)))
-        for g, degrees in _prefix_degrees(X_SQUARED, cfg.n_max)
-    )
-    for n, ((indeg, size), (indeg_next, size_next)) in enumerate(pairwise(orders), start=1):
-        if indeg == indeg_next:
+    # the in-degree of v_n and the Jaconian set size of the order-n graph
+    for r, r_next in pairwise(_degree_sweep(X_SQUARED, cfg.n_max)):
+        if r.indegree == r_next.indegree:
             res.check(
-                size != size_next,
-                f"x^2: in-degree plateau at {n} but the Jaconian set kept size {size}",
+                r.count != r_next.count,
+                f"x^2: in-degree plateau at {r.order} but the Jaconian set kept size {r.count}",
             )
 
 
@@ -318,7 +328,7 @@ def prop_hope_complete(cfg: VerifyConfig, res: PropertyResult) -> None:
             except HopeNotCompleteError:
                 broken = g.n
                 break
-        res.check(broken is None, f"{_label(p)}: Hope subgraph not complete at order {broken}")
+        res.check(broken is None, f"{format_polynomial(p)}: Hope subgraph not complete at order {broken}")
 
 
 def prop_locator(cfg: VerifyConfig, res: PropertyResult) -> None:
@@ -327,13 +337,13 @@ def prop_locator(cfg: VerifyConfig, res: PropertyResult) -> None:
         swept = oracle.sweep_smallest_max_degree(p, delta)
         res.check(
             k == swept,
-            f"{_label(p)}: locator gives {k} but the sweep found {swept}",
+            f"{format_polynomial(p)}: locator gives {k} but the sweep found {swept}",
         )
         f1 = evaluate(p, 1)
         superseded = evaluate(p, f1) - f1 + 1
         if superseded != k:
             res.notes.append(
-                f"{_label(p)}: k = f(f(1))+1 = {k} (prime v{prime}, degree {delta});"
+                f"{format_polynomial(p)}: k = f(f(1))+1 = {k} (prime v{prime}, degree {delta});"
                 f" the superseded form f(f(1))-f(1)+1 = {superseded} misses"
             )
 
@@ -355,7 +365,7 @@ def prop_component_structure(cfg: VerifyConfig, res: PropertyResult) -> None:
         if family is FamilyClass.CONSTANT and p.c == 0:
             res.check(
                 scanned and len(comps) == n,
-                f"{_label(p)}: zero polynomial should give {n} singletons",
+                f"{format_polynomial(p)}: zero polynomial should give {n} singletons",
             )
         elif family is FamilyClass.CONSTANT:
             size = p.c + 1
@@ -364,12 +374,12 @@ def prop_component_structure(cfg: VerifyConfig, res: PropertyResult) -> None:
             ]
             res.check(
                 scanned and comps == expected,
-                f"{_label(p)}: constant components are not consecutive K_{size} blocks",
+                f"{format_polynomial(p)}: constant components are not consecutive K_{size} blocks",
             )
         else:
             res.check(
                 scanned and len(comps) == 1,
-                f"{_label(p)}: connected family split into components",
+                f"{format_polynomial(p)}: connected family split into components",
             )
 
 
@@ -379,7 +389,7 @@ def prop_oracle_colouring(cfg: VerifyConfig, res: PropertyResult) -> None:
             g = build(p, n)
             res.check(
                 arcs(g) == oracle.arcs_by_definition(p, n),
-                f"{_label(p)}, n={n}: arc sets disagree",
+                f"{format_polynomial(p)}, n={n}: arc sets disagree",
             )
             underlying = chroma.underlying_graph(g)
             colouring = chroma.min_sum_colouring(underlying)
@@ -387,7 +397,7 @@ def prop_oracle_colouring(cfg: VerifyConfig, res: PropertyResult) -> None:
             res.check(
                 chroma.colour_sum(colouring) == exp_sum
                 and colouring.weights == exp_weights,
-                f"{_label(p)}, n={n}: solver gives"
+                f"{format_polynomial(p)}, n={n}: solver gives"
                 f" {chroma.colour_sum(colouring)} {colouring.weights},"
                 f" oracle {exp_sum} {exp_weights}",
             )
@@ -415,13 +425,13 @@ def prop_reversal_identity(cfg: VerifyConfig, res: PropertyResult) -> None:
             report = chroma.chroma_report(underlying)
             res.check(
                 report.chi_minus + report.chi_plus == (report.chi + 1) * n,
-                f"{_label(p)}, n={n}: reversal identity broken",
+                f"{format_polynomial(p)}, n={n}: reversal identity broken",
             )
             maximum = chroma.reverse_colouring(chroma.min_sum_colouring(underlying))
             res.check(
                 (report.mu_plus, report.var_plus) == chroma.chromatic_stats(maximum)
                 and report.weights_max == maximum.weights,
-                f"{_label(p)}, n={n}: reversed-colouring statistics relation broken",
+                f"{format_polynomial(p)}, n={n}: reversed-colouring statistics relation broken",
             )
 
 
@@ -504,18 +514,11 @@ def prop_jaconian_contiguity(cfg: VerifyConfig, res: PropertyResult) -> None:
     """Observation only: the Jaconian set was a contiguous index block in
     every graph checked so far.  Never asserted, though ``jaconian`` relies
     on it; this checks it literally, from every degree of every prefix."""
-    contiguous = 0
-    total = 0
-    for p in cfg.structural_polys():
-        for _, degrees in _prefix_degrees(p, cfg.n_max):
-            delta = max(degrees)
-            members = [i for i, d in enumerate(degrees, start=1) if d == delta]
-            total += 1
-            if members[-1] - members[0] + 1 == len(members):
-                contiguous += 1
-    res.checks = total
+    records = [r for p in cfg.structural_polys() for r in _degree_sweep(p, cfg.n_max)]
+    contiguous = sum(r.last - r.first + 1 == r.count for r in records)
+    res.checks = len(records)
     res.notes.append(
-        f"contiguous in {contiguous}/{total} graphs checked (observation, not asserted)"
+        f"contiguous in {contiguous}/{len(records)} graphs checked (observation, not asserted)"
     )
 
 

@@ -316,6 +316,42 @@ def test_verify_sweeps_each_prefix_once_per_run(monkeypatch):
         assert verify._degree_sweep.cache_info().currsize == 0
 
 
+_PREFIX_LAWS = ("delta-monotone", "min-degree-bound", "prime-full-degree-prefix", "milestone-prime",
+                "degree-jump-bound", "jaconian-plateau", "jaconian-contiguity")
+
+
+@pytest.mark.parametrize("order, corrupt, failing, digest", [
+    # vertex 1 above the maximum
+    (30, lambda d: (max(d) + 1,) + d[1:],
+     {"delta-monotone", "min-degree-bound", "milestone-prime", "degree-jump-bound"},
+     "44c73cdc7f8e59b2f0802486271d1188ca778ea49a00481fbd62a6a2b55b2dec"),
+    # a negative degree, and the maximum split off onto the last vertex
+    (40, lambda d: (-1,) + d[1:-1] + (max(d),),
+     {"min-degree-bound", "prime-full-degree-prefix", "degree-jump-bound", "jaconian-plateau"},
+     "c6ad6cebe25cb8fd5d8a73252ebbffc5da655eb214c0c5e57415d35bc0b38015"),
+    # every degree capped at 2
+    (25, lambda d: tuple(min(x, 2) for x in d),
+     {"delta-monotone", "milestone-prime"},
+     "1a53c0cfd3683d5d24419a6a8091c0defc7b3a4a12253ed6c1c83c4f2ee35a07"),
+    # vertex 1 below f(1) while the prime keeps its full degree
+    (50, lambda d: (d[0] - 1,) + d[1:],
+     {"prime-full-degree-prefix", "degree-jump-bound"},
+     "49781e2aacd71fbf35228879ebd41d4747918d8b49009a978f9ada918e310e9b"),
+])
+def test_verify_reports_a_corrupted_prefix(capsys, monkeypatch, order, corrupt, failing, digest):
+    # one prefix's degrees are corrupted; every law over the prefixes reads
+    # them, and the report (failures, notes and check counts) is pinned
+    literal = verify.underlying_degrees
+    monkeypatch.setattr(verify, "underlying_degrees",
+                        lambda g: corrupt(literal(g)) if g.n == order else literal(g))
+    code, out, err = run(capsys, "verify", "--n", "60",
+                         *[arg for law in _PREFIX_LAWS for arg in ("--prop", law)])
+    assert (code, err) == (2, "")
+    assert {line.split()[1] for line in out.splitlines()
+            if line.startswith("FAIL ") and " checks=" in line} == failing
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_deep_braid_gets_its_closed_form(capsys):
     code, out, err = run(capsys, "braided", "--orders", "600,600", "--overlaps", "1")
     assert code == 0
@@ -589,6 +625,15 @@ def test_table1_holds_no_more_than_a_row_at_a_time(tmp_path):
     table = _peak_rss_mb(["table1", "--f", "3", "--n", "3000", "--out", str(tmp_path / "t1.tsv")])
     baseline = _peak_rss_mb(["table1", "--f", "x^2", "--n", "3"])
     assert table - baseline <= 15, (table, baseline)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs procfs")
+def test_verify_holds_a_record_per_order_not_every_degree_tuple():
+    # every prefix's degree tuple of 29 polynomials at n = 400, held for the
+    # run, costs about 50 MB more
+    checked = _peak_rss_mb(["verify", "--n", "400", "--prop", "min-degree-bound"])
+    baseline = _peak_rss_mb(["table1", "--f", "x^2", "--n", "3"])
+    assert checked - baseline <= 10, (checked, baseline)
 
 
 # --- the argv grammar: every drawn command line ends in a documented code ----
