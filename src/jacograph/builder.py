@@ -38,6 +38,16 @@ t <= c + 1 has in-degree t - 1, as v_1..v_{t-1} all reach c + 1, so
 reach(t) = c + 1: nothing reaches v_{c+2}, which starts afresh as v_1 did.
 The graph repeats blocks of c + 1 with indeg(i) = (i - 1) mod (c + 1) and
 reach(i) = i - indeg(i) + c.
+
+J_n(f) is the prefix v_1..v_n of the infinite root graph, so a built graph
+already holds the root graph's first n records.  For each polynomial,
+:func:`build` records by weak reference the longest graph it has returned
+that has more than 64 vertices and is still alive.  :func:`root_stream`
+yields v_1..v_n from that graph's tuples, then resumes the recurrence at
+v_{n+1} from indeg(n), reach(n) and the graph's reaches, which it keeps
+only while they can still mark a vertex.  Builds of at most 64 vertices
+are not recorded and take no extra step.  Only :func:`build` records a
+graph, so a graph made by hand is never read.
 """
 
 from __future__ import annotations
@@ -45,9 +55,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, count, cycle, islice, repeat
+from itertools import accumulate, chain, count, cycle, islice, repeat
 from operator import sub
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
+from weakref import WeakValueDictionary
 
 from .errors import (
     ArcBudgetExceededError,
@@ -66,6 +77,11 @@ _STEPPED = 64
 # beyond what its consumer takes.
 _STREAM_BLOCK = 4096
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # mark(i) -> 1 - mark(i)
+# The longest live graph that build returned for each polynomial, among
+# those of order above _STEPPED.  Weak, so it keeps no graph alive.  Every
+# graph in it is exact, so two threads racing in build can at worst leave
+# the shorter of their graphs recorded.
+_LIVE: WeakValueDictionary[IncidencePolynomial, JacoGraph] = WeakValueDictionary()
 
 
 class VertexRecord(NamedTuple):
@@ -124,50 +140,67 @@ class JacoGraph:
 
     @cached_property
     def records(self) -> tuple[VertexRecord, ...]:
-        return tuple(
-            VertexRecord(i + 1, d, r)
-            for i, (d, r) in enumerate(zip(self.in_degrees, self.reaches))
-        )
+        return tuple(_records(1, self.in_degrees, self.reaches))
 
     def arc_count(self) -> int:
         return sum(self.in_degrees)  # each arc once, at its head
 
 
-def _blocks(
-    p: IncidencePolynomial, stop: int, cap: int
-) -> Iterator[tuple[list[int], list[int]]]:
-    """Yield the in-degrees and reaches of v_1..v_{stop-1}, in consecutive
-    blocks of at most ``cap`` vertices (the stepped first block excepted).
+def _records(
+    lo: int, in_degrees: Iterable[int], reaches: Iterable[int]
+) -> Iterator[VertexRecord]:
+    """The records of v_lo, v_lo+1, ... from their in-degrees and reaches."""
+    # tuple.__new__ skips the NamedTuple constructor's argument handling
+    return map(tuple.__new__, repeat(VertexRecord), zip(count(lo), in_degrees, reaches))
 
-    Between blocks only the reach lists that can still mark a vertex are
-    kept: a list is dropped once all its reaches fall below the block."""
+
+def _blocks(
+    p: IncidencePolynomial, stop: int, cap: int, start: JacoGraph | None = None
+) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
+    """Yield the in-degrees and reaches of v_1..v_{stop-1}, in consecutive
+    blocks of at most ``cap`` vertices.  The first block may be longer: the
+    stepped vertices, or, given a built graph ``start`` of order m < stop,
+    its own tuples of v_1..v_m.
+
+    Between blocks only the reach sequences that can still mark a vertex
+    are kept: one is dropped once all its reaches fall below the block."""
     a, b, c = p.a, p.b, p.c
+    lo = 1
+    if start is not None:
+        d, reaches = start.in_degrees, start.reaches
+        del start  # hold no graph; past v_m, only known may keep its reaches
+        yield d, reaches
+        lo = len(d) + 1
     if a == b == 0:
-        indegs, tops = cycle(range(c + 1)), count(c + 1)
-        for lo in range(1, stop, cap):
+        s = (lo - 1) % (c + 1)  # indeg(lo); the in-degrees cycle from there
+        indegs = cycle(chain(range(s, c + 1), range(s)))
+        tops = count(lo + c)
+        for lo in range(lo, stop, cap):
             d = list(islice(indegs, min(cap, stop - lo)))
-            yield d, list(map(sub, islice(tops, len(d)), d))
+            reaches = list(map(sub, islice(tops, len(d)), d))  # drops a graph's tuple
+            yield d, reaches
         return
-    if stop < 2:
-        return
-    d, reaches = [0], [1 + a + b + c]
-    k = 0  # the vertices j < i with reach(j) < i are v_1..v_k
-    for i in range(2, min(stop, _STEPPED + 1)):
-        if reaches[k] < i:  # at most one reach is i - 1, and it is reach(k + 1)
-            k += 1
-        d.append(i - 1 - k)
-        reaches.append(i + (a * i + b) * i + c - d[-1])
-    yield d, reaches
+    if lo == 1:
+        if stop < 2:
+            return
+        d, reaches = [0], [1 + a + b + c]
+        k = 0  # the vertices j < i with reach(j) < i are v_1..v_k
+        for i in range(2, min(stop, _STEPPED + 1)):
+            if reaches[k] < i:  # at most one reach is i - 1, and it is reach(k + 1)
+                k += 1
+            d.append(i - 1 - k)
+            reaches.append(i + (a * i + b) * i + c - d[-1])
+        yield d, reaches
+        lo = len(d) + 1
     known = [reaches]
-    lo = len(d) + 1
     while lo < stop:
         hi = min(stop, lo + cap, reaches[-1] + 2)  # reaches[-1] = reach(lo - 1)
         base = lo - 1
         while known[0][-1] < base:
             del known[0]
         marks = bytearray(hi - lo)  # mark(i) at i - base, for i in base..hi-2
-        for r in known:
-            for x in islice(r, bisect_left(r, base), bisect_left(r, hi - 1)):
+        for r in known:  # sliced: islice would step through a built graph's reaches
+            for x in r[bisect_left(r, base):bisect_left(r, hi - 1)]:
                 marks[x - base] = 1
         d = list(accumulate(marks.translate(_FLIP), initial=d[-1]))
         del d[0]
@@ -199,30 +232,41 @@ def build(p: IncidencePolynomial, n: int) -> JacoGraph:
         in_degrees += d
         reaches += r
     del d, r  # the last block would otherwise outlive the copies below
-    return JacoGraph(p, n, tuple(in_degrees), tuple(reaches))
+    g = JacoGraph(p, n, tuple(in_degrees), tuple(reaches))
+    if n > _STEPPED:
+        live = _LIVE.get(p)
+        if live is None or live.n < n:
+            _LIVE[p] = g
+    return g
 
 
 def root_stream(p: IncidencePolynomial) -> Iterator[VertexRecord]:
     """Yield the vertex records of the infinite root graph for i = 1, 2, ...
 
-    Records are made a block of at most 4,096 vertices at a time, by the
-    recurrence of :func:`build`, so at most one block is computed beyond
-    what the consumer takes.  Memory is that block plus the reaches that
-    can still mark a later vertex, about the next in-degree in number: the
-    reaches are kept in their blocks, and a block of them is dropped once
-    all of them fall below the block being made.  The stream raises
-    :class:`ArithmeticOverflowError` at the first i where f(i) + i leaves
-    the 64-bit range, after yielding every earlier record.
+    When the stream starts (at its first record), it looks for the longest
+    live graph that :func:`build` returned for ``p`` with more than 64
+    vertices.  If there is one, of order m, the stream yields v_1..v_m from
+    its tuples, and the records share the graph's ints; it goes on from
+    v_{m+1}, holding the graph's reaches only while they can still mark a
+    vertex, and neither the graph nor its in-degrees.  Otherwise it starts
+    at v_1.  Past v_m, records are made a block of at most 4,096 vertices
+    at a time, by the recurrence of :func:`build`, so at most one block is
+    computed beyond what the consumer takes.  Memory is that block plus the
+    reaches that can still mark a later vertex, about the next in-degree in
+    number: the reaches are kept in their blocks, and a block of them is
+    dropped once all of them fall below the block being made.  The stream
+    raises :class:`ArithmeticOverflowError` at the first i where f(i) + i
+    leaves the 64-bit range, after yielding every earlier record.
     """
     a, b, c = p.a, p.b, p.c
     # i + f(i) increases with i: the last index it keeps inside 64 bits
     last = bisect_right(
         range(1, INT64_MAX + 1), INT64_MAX, key=lambda i: i + a * i * i + b * i + c
     )
-    new = tuple.__new__  # skips the NamedTuple constructor's argument handling
     lo = 1
-    for d, r in _blocks(p, last + 1, _STREAM_BLOCK):
-        yield from map(new, repeat(VertexRecord), zip(count(lo), d, r))
+    # a built graph has f(n) + n inside 64 bits, so its order is at most last
+    for d, r in _blocks(p, last + 1, _STREAM_BLOCK, _LIVE.get(p)):
+        yield from _records(lo, d, r)
         lo += len(d)
     raise ArithmeticOverflowError(f"f({lo}) + {lo} exceeds the 64-bit range")
 

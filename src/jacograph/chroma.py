@@ -528,9 +528,12 @@ def greedy_min_sum(
     return ProperColouring(assignment=tuple(assignment), k=colour, weights=tuple(weights))
 
 
-def _report(order: int, weights: tuple[int, ...], s1: int, s2: int) -> ChromaticReport:
-    """The report of a minimum-sum colouring of ``order`` vertices with
-    class sizes ``weights``, colour sum ``s1`` and squared-colour sum ``s2``.
+def _closed_forms(
+    order: int, chi: int, s1: int, s2: int
+) -> tuple[int, Fraction, Fraction, Fraction]:
+    """chi_plus, mu_minus, mu_plus and the variance of both sides, for a
+    minimum-sum colouring of ``order`` vertices with ``chi`` colours, colour
+    sum ``s1`` and squared-colour sum ``s2``.
 
     The maximum side is read off the minimum by the colour reversal c ->
     chi + 1 - c: the weights reverse, the mean reflects about (chi + 1) / 2
@@ -541,17 +544,24 @@ def _report(order: int, weights: tuple[int, ...], s1: int, s2: int) -> Chromatic
         mu_plus  = ((chi + 1) * n - s1) / n
         var      = (n * s2 - s1^2) / n^2   (both sides)
     """
-    chi = len(weights)
     chi_plus = (chi + 1) * order - s1
-    var = Fraction(order * s2 - s1 * s1, order * order)
+    return (chi_plus, Fraction(s1, order), Fraction(chi_plus, order),
+            Fraction(order * s2 - s1 * s1, order * order))
+
+
+def _report(order: int, weights: tuple[int, ...], s1: int, s2: int) -> ChromaticReport:
+    """The report of a minimum-sum colouring with class sizes ``weights``
+    (see :func:`_closed_forms`)."""
+    chi = len(weights)
+    chi_plus, mu_minus, mu_plus, var = _closed_forms(order, chi, s1, s2)
     return ChromaticReport(
         chi=chi,
         chi_minus=s1,
         chi_plus=chi_plus,
         weights_min=weights,
         weights_max=weights[::-1],
-        mu_minus=Fraction(s1, order),
-        mu_plus=Fraction(chi_plus, order),
+        mu_minus=mu_minus,
+        mu_plus=mu_plus,
         var_minus=var,
         var_plus=var,
     )
@@ -566,9 +576,12 @@ def chroma_report(
                    _weighted_sum(map(mul, weights, count(1))))
 
 
-def _prefix_reports(graph: SimpleGraph) -> Iterator[ChromaticReport]:
-    """``chroma_report`` of the prefix 1..k of a certified graph, for
-    k = 1..order, all read off one first-fit (see the module docstring)."""
+def _prefix_reports(graph: SimpleGraph) -> Iterator[tuple[int, list[int], int, int]]:
+    """The arguments of :func:`_report` for ``chroma_report`` of the prefix
+    1..k of a certified graph, for k = 1..order, all read off one first-fit
+    (see the module docstring): k, the class sizes, the colour sum and the
+    squared-colour sum.  The class sizes are one running list, valid until
+    the next row, so a row costs O(1) unless its caller copies them."""
     weights, s1, s2 = [], 0, 0
     for k, colour in enumerate(_first_fit(graph.interval_caps).assignment, start=1):
         if colour > len(weights):
@@ -576,4 +589,4 @@ def _prefix_reports(graph: SimpleGraph) -> Iterator[ChromaticReport]:
         weights[colour - 1] += 1
         s1 += colour
         s2 += colour * colour
-        yield _report(k, tuple(weights), s1, s2)
+        yield k, weights, s1, s2

@@ -44,7 +44,7 @@ from .braided import (
     realize,
 )
 from .builder import DEFAULT_ARC_BUDGET, build, check_arc_budget
-from .chroma import ChromaticReport, _prefix_reports, chroma_report, underlying_graph
+from .chroma import _closed_forms, _prefix_reports, chroma_report, underlying_graph
 from .errors import (
     ArcBudgetExceededError,
     InvalidOrderError,
@@ -80,7 +80,7 @@ class _Parser(argparse.ArgumentParser):
         return parsed
 
 
-def _fmt_weights(weights: tuple[int, ...]) -> str:
+def _fmt_weights(weights: Iterable[int]) -> str:
     return ",".join(map(str, weights))
 
 
@@ -243,20 +243,14 @@ def cmd_table3(args) -> int:
     if args.n < 1:
         raise InvalidOrderError(f"--n must be >= 1, got {args.n}")
 
-    def lines(reports: Iterator[ChromaticReport]) -> Iterator[str]:
-        for i, report in enumerate(reports, start=1):
-            cells = (
-                str(report.chi_minus),
-                str(report.chi_plus),
-                str(report.mu_minus),
-                str(report.mu_plus),
-                str(report.var_minus),
-                str(report.var_plus),
-            )
+    def lines(rows: Iterator[tuple[int, list[int], int, int]]) -> Iterator[str]:
+        for i, weights, s1, s2 in rows:
+            chi_plus, mu_minus, mu_plus, var = map(str, _closed_forms(i, len(weights), s1, s2))
+            cells = (str(s1), chi_plus, mu_minus, mu_plus, var, var)
             fields = [str(i), *cells]
-            if args.weights:
-                fields.append(_fmt_weights(report.weights_min))
-                fields.append(_fmt_weights(report.weights_max))
+            if args.weights:  # the only columns that cost O(chi) a row
+                fields.append(_fmt_weights(weights))
+                fields.append(_fmt_weights(reversed(weights)))
             if args.show_paper_errata:
                 published = _PUBLISHED_TABLE3_X2.get(i) if p == X_SQUARED else None
                 fields.append(_errata_cell(published, _TABLE3_COLUMNS, cells))

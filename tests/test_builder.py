@@ -1,3 +1,4 @@
+import weakref
 from collections import deque
 from itertools import islice
 
@@ -160,6 +161,52 @@ def test_stream_overflow_matches_reference(p):
     assert _records_until_overflow(root_stream(p)) == _records_until_overflow(deque_stream(p))
 
 
+@pytest.fixture
+def no_live_builds(monkeypatch):
+    """An empty registry of live builds, so that no other test's graph is read."""
+    monkeypatch.setattr(builder, "_LIVE", weakref.WeakValueDictionary())
+
+
+def test_stream_overflow_continues_a_live_build(no_live_builds):
+    p = IncidencePolynomial(INT64_MAX // 10_000, 0, 0)  # f(i) + i overflows at i = 101
+    expected = _records_until_overflow(deque_stream(p))
+    last = len(expected[0])
+    assert last > builder._STEPPED
+    for n in (builder._STEPPED + 1, last):  # the stream resumes at v_{n+1}, then overflows
+        g = build(p, n)
+        assert builder._LIVE.get(p) is g
+        assert _records_until_overflow(root_stream(p)) == expected
+
+
+def test_stream_holds_no_graph_and_the_registry_none(no_live_builds):
+    p = IncidencePolynomial(0, 1, 0)
+    reference = list(islice(deque_stream(p), 6000))
+    g = build(p, 1000)
+    graph = weakref.ref(g)
+    stream = root_stream(p)
+    records = list(islice(stream, 1001))  # past v_1000, the last record read off g
+    del g
+    assert graph() is None
+    assert builder._LIVE.get(p) is None
+    records += islice(stream, len(reference) - len(records))
+    assert records == reference
+    assert list(islice(root_stream(p), 6000)) == reference
+
+
+def test_shorter_build_keeps_the_longer_live_one(no_live_builds):
+    longer = build(X2, 3000)
+    shorter = build(X2, 500)
+    assert builder._LIVE.get(X2) is longer
+    assert list(islice(root_stream(X2), 8000)) == list(islice(deque_stream(X2), 8000))
+    del longer
+    assert builder._LIVE.get(X2) is None
+    assert list(islice(root_stream(X2), 500)) == list(shorter.records)
+    again = build(X2, 500)  # the entry is dead, so any longer build replaces it
+    assert builder._LIVE.get(X2) is again
+    build(X2, 500)
+    assert builder._LIVE.get(X2) is again
+
+
 @given(polynomials(), st.integers(1, 40))
 @settings(max_examples=150)
 def test_arcs_match_definitional_oracle(p, n):
@@ -202,13 +249,28 @@ def with_examples(cases):
     return apply
 
 
+def stream_both_ways(p, n):
+    """Check root_stream(p) against deque_stream(p) past v_n by more than a
+    stream block: first with no live build, then resuming from build(p, n),
+    which the registry holds exactly when n exceeds the stepped vertices.
+    Return that build."""
+    extra = n + builder._STREAM_BLOCK + 1
+    reference = list(islice(deque_stream(p), extra))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builder, "_LIVE", weakref.WeakValueDictionary())
+        assert list(islice(root_stream(p), extra)) == reference
+        g = build(p, n)
+        assert (builder._LIVE.get(p) is g) == (n > builder._STEPPED)
+        assert list(islice(root_stream(p), extra)) == reference
+    return g
+
+
 @given(polynomials(), st.integers(1, 600))
 @settings(max_examples=100)
 @with_examples(REFERENCE_EXAMPLES)
 def test_build_and_stream_match_reference_loops(p, n):
-    g = build(p, n)
+    g = stream_both_ways(p, n)
     assert (g.in_degrees, g.reaches) == difference_array_build(p, n)
-    assert list(islice(root_stream(p), n)) == list(islice(deque_stream(p), n))
 
 
 @given(
@@ -223,19 +285,25 @@ def test_short_blocks_match_reference_loops(p, n, stepped, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(builder, "_STEPPED", stepped)
         patch.setattr(builder, "_STREAM_BLOCK", block)
-        g = build(p, n)
-        records = list(islice(root_stream(p), n))
+        g = stream_both_ways(p, n)
     assert (g.in_degrees, g.reaches) == difference_array_build(p, n)
-    assert records == list(islice(deque_stream(p), n))
 
 
 @given(polynomials(), st.integers(1, 300))
 @settings(max_examples=60)
 def test_stream_agrees_with_build(p, n):
-    g = build(p, n)
-    for rec in islice(root_stream(p), n):
+    extra = n + builder._STREAM_BLOCK + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builder, "_LIVE", weakref.WeakValueDictionary())
+        g = build(p, n)
+        assert (builder._LIVE.get(p) is g) == (n > builder._STEPPED)
+        resumed = list(islice(root_stream(p), extra))
+        builder._LIVE.clear()
+        alone = list(islice(root_stream(p), extra))
+    for rec in alone[:n]:
         assert rec.in_degree == g.in_degree(rec.index)
         assert rec.reach == g.reach(rec.index)
+    assert resumed == alone
 
 
 @given(polynomials(), st.integers(1, 200))
