@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .chroma import SimpleGraph
 from .errors import InvalidBraidError
+from .incidence import INT64_MAX
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ class BraidedString:
         for j, n in enumerate(self.orders, start=1):
             if n < 1:
                 raise InvalidBraidError(f"block {j} must have size >= 1, got {n}")
+            if n > INT64_MAX:
+                raise InvalidBraidError(f"block {j} size {n} exceeds the 64-bit range")
         for j, l in enumerate(self.overlaps, start=1):
             if not 0 <= l <= min(self.orders[j - 1], self.orders[j]):
                 raise InvalidBraidError(

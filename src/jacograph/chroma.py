@@ -58,8 +58,9 @@ underlying Jaco graph the prefix is the underlying order-k graph.
 from __future__ import annotations
 
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
 from operator import ge, le, mul, sub
@@ -78,27 +79,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class _Masks:
-    """The ``adjacency`` field of :class:`SimpleGraph`.  Masks given as None
-    are derived from the caps when first read: v's closed neighbourhood is
-    lo..cap(v), where lo, the first vertex whose cap reaches v, only grows."""
-
-    def __get__(self, graph, owner=None):
-        if graph is None:
-            raise AttributeError("adjacency")  # so the field has no default
-        if graph._masks is None:
-            caps, masks, lo = graph.interval_caps, [], 1
-            for v, cap in enumerate(caps, start=1):
-                while caps[lo - 1] < v:
-                    lo += 1
-                masks.append((1 << cap) - (1 << (lo - 1)) - (1 << (v - 1)))
-            self.__set__(graph, tuple(masks))
-        return graph._masks
-
-    def __set__(self, graph, masks):
-        object.__setattr__(graph, "_masks", masks)
-
-
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph on vertices 1..order.
@@ -106,32 +86,29 @@ class SimpleGraph:
     ``adjacency[v - 1]`` is a bitmask with bit (u - 1) set when u ~ v.
     ``interval_caps``, when present, certifies proper interval structure:
     the caps are non-decreasing and u ~ v for u < v exactly when
-    v <= interval_caps[u - 1].  A certified graph may leave its masks out
-    (None), as the certified paths never read them.
+    v <= interval_caps[u - 1].  ``masks`` is None on a certified graph, as
+    the certified paths never read them; ``adjacency`` derives them from
+    the caps once, on first read.  Equality, hashing and repr read only
+    the order, ``masks`` and the caps, and repr never prints a mask.
     """
 
     order: int
-    adjacency: tuple[int, ...] | None = _Masks()
+    masks: tuple[int, ...] | None = field(repr=False)
     interval_caps: tuple[int, ...] | None = None
 
-    def __eq__(self, other):
-        """Field-wise equality; caps determine the masks, so the masks are
-        compared only when neither graph has caps."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.interval_caps) == (other.order, other.interval_caps) and (
-            self.interval_caps is not None or self.adjacency == other.adjacency
-        )
-
-    def __hash__(self):
-        if self.interval_caps is not None:
-            return hash((self.order, self.interval_caps))
-        return hash((self.order, self.adjacency, None))
-
-    def __repr__(self):
-        """The order and caps only: the masks may not be derived yet, and
-        a mask of more than about 14,000 bits has no str()."""
-        return f"SimpleGraph(order={self.order}, interval_caps={self.interval_caps!r})"
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """The masks, given or derived: v's closed neighbourhood is
+        lo..cap(v), where lo, the first vertex whose cap reaches v, only
+        grows."""
+        if self.masks is not None:
+            return self.masks
+        caps, masks, lo = self.interval_caps, [], 1
+        for v, cap in enumerate(caps, start=1):
+            while caps[lo - 1] < v:
+                lo += 1
+            masks.append((1 << cap) - (1 << (lo - 1)) - (1 << (v - 1)))
+        return tuple(masks)
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":

@@ -129,7 +129,13 @@ def parse(text: str) -> IncidencePolynomial:
             if m:
                 if key in coeffs:
                     raise PolynomialParseError(f"duplicate {key!r} term", start)
-                coeffs[key] = int(m.group(1)) if m.group(1) is not None else 1
+                digits = m.group(1)
+                try:
+                    coeffs[key] = int(digits) if digits is not None else 1
+                except ValueError:  # more digits than int() converts
+                    raise PolynomialParseError(
+                        f"coefficient too long: {len(digits)} digits", start
+                    ) from None
                 break
         else:
             raise PolynomialParseError(f"unrecognized term {compact!r}", start)

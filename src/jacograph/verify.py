@@ -98,17 +98,16 @@ class VerifyConfig:
     colouring_n_max: int = 12
 
     def structural_polys(self) -> tuple[IncidencePolynomial, ...]:
-        if self.polynomials is not None:
-            return self.polynomials
-        return tuple(dict.fromkeys(QUADRATIC_GRID + ORACLE_POLYS))
+        """The selection, or the default grid, each polynomial once in
+        first-seen order."""
+        chosen = QUADRATIC_GRID + ORACLE_POLYS if self.polynomials is None else self.polynomials
+        return tuple(dict.fromkeys(chosen))
 
     def quadratic_polys(self) -> tuple[IncidencePolynomial, ...]:
         return tuple(p for p in self.structural_polys() if p.a >= 1)
 
     def oracle_polys(self) -> tuple[IncidencePolynomial, ...]:
-        if self.polynomials is not None:
-            return self.polynomials
-        return ORACLE_POLYS
+        return ORACLE_POLYS if self.polynomials is None else self.structural_polys()
 
     def includes_x_squared(self) -> bool:
         return self.polynomials is None or X_SQUARED in self.polynomials

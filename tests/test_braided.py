@@ -46,6 +46,8 @@ def test_invalid_braids_name_the_offending_index():
         BraidedString((4, 3, 4), (2, 2))
     with pytest.raises(InvalidBraidError):
         BraidedString((3, 3), ())
+    with pytest.raises(InvalidBraidError, match="block 1"):
+        BraidedString((2**63, 5), (3,))
 
 
 def test_three_block_string_realization():

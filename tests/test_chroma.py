@@ -420,6 +420,9 @@ def test_from_intervals_matches_per_edge_reference(caps):
     assert g.edge_count() == stripped(g).edge_count()
     assert g.adjacency == tuple(masks)
     assert g.interval_caps == tuple(caps)
+    edges = [(u, v) for u, cap in enumerate(caps, start=1) for v in range(u + 1, cap + 1)]
+    assert stripped(g) == SimpleGraph.from_edges(order, edges)
+    assert hash(stripped(g)) == hash(SimpleGraph.from_edges(order, edges))
 
 
 def test_certified_report_builds_no_masks():

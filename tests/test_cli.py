@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacograph import (
     IncidencePolynomial, SimpleGraph, build, builder, cli, invariants, mu_min_two_block, verify,
@@ -124,6 +124,16 @@ def test_braided_invalid(capsys):
     code, _, err = run(capsys, "braided", "--orders", "3,5", "--overlaps", "4")
     assert code == 1
     assert "overlap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--orders", "99999999999999999999,5", "--overlaps", "3"],
+    ["--orders", "99999999999999999999", "--format", "dot"],
+])
+def test_braided_block_past_the_64_bit_range_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, "braided", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: block 1 size 99999999999999999999 exceeds the 64-bit range\n"
 
 
 def test_braided_dot(capsys):
@@ -265,6 +275,12 @@ def test_verify_restricted_polynomial(capsys):
                if line.endswith(": defined for x^2 only; skipped for this polynomial selection")]
     assert skipped == ["jaconian-plateau", "greedy-agreement", "weight-evolution",
                        "variance-symmetry"]
+
+
+def test_verify_checks_a_repeated_polynomial_once(capsys):
+    repeated = run(capsys, "verify", "--f", "x^2", "--f", "1*x^2", "--n", "5")
+    assert repeated == run(capsys, "verify", "--f", "x^2", "--n", "5")
+    assert "forward-difference           checks=8\n" in repeated[1]
 
 
 def test_verify_constant_incidence(capsys):
@@ -640,7 +656,8 @@ def test_verify_holds_a_record_per_order_not_every_degree_tuple():
 
 _MISSING_DIR_OUT = str(SRC / "no-such-directory" / "out.txt")
 _VALID = ["x^2", "0", "1", "3", "x", "x+2", "2*x^2+x+2", "x^2+1"]
-_MALFORMED = ["x^^2", "x^3", "", "2*", "y", "-x", "x^2+", "99999999999999999999*x^2"]
+_MALFORMED = ["x^^2", "x^3", "", "2*", "y", "-x", "x^2+", "99999999999999999999*x^2",
+              "9" * 5000]
 _POLYNOMIALS = st.one_of(
     st.sampled_from(_VALID), st.sampled_from(_VALID + _MALFORMED), st.text(max_size=5)
 )
@@ -666,7 +683,7 @@ def _argv(draw):
         overlaps = draw(fitting | fitting | st.lists(st.integers(-1, 8), max_size=4))
         text = ",".join(map(str, orders))
         opts = {
-            "--orders": draw(st.sampled_from([text, text, "7,x", ",", ""])),
+            "--orders": draw(st.sampled_from([text, text, "7,x", ",", "", f"{2**64},5"])),
             "--overlaps": ",".join(map(str, overlaps)) if overlaps else None,
             "--format": draw(st.sampled_from(["tsv", "dot"])),
             "--erratum": draw(st.booleans()), "--show-paper-errata": draw(st.booleans()),
@@ -687,6 +704,8 @@ def _argv(draw):
 
 
 @given(_argv())
+@example(["table1", "--f=" + "9" * 5000, "--n=2"])
+@example(["braided", f"--orders={2**64},5", "--overlaps=3"])
 @settings(max_examples=300, deadline=None)
 def test_every_command_line_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -74,6 +74,8 @@ def test_parse_examples():
         ("x^2+x^2", 4),
         ("x + bogus", 4),
         ("-3", 0),
+        pytest.param("9" * 5000, 0, id="5000-digit-c"),
+        pytest.param("x^2+" + "9" * 5000 + "*x", 4, id="5000-digit-b"),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
