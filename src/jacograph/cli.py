@@ -17,10 +17,12 @@ tables document the known misprints instead of hiding them.
 
 Output goes to standard output, or to ``--out``.  An ``--out`` whose
 directory is missing, or that names a directory, is refused before any
-work.  ``export`` writes it one vertex at a time straight from the reaches,
-after checking the arc budget, so the arcs are never held in memory all at
-once.  Every command writes each line as it is made; ``table3`` reads its
-rows off one build.
+work.  ``export`` writes it one vertex at a time straight from the reaches:
+each JSON vertex record, like each vertex's arcs and DOT lines, is written
+as it is made, and arcs only after the arc budget is checked, so neither
+the records nor the arcs are ever held in memory all at once.  Every
+command writes each line as it is made; ``table3`` reads its rows off one
+build.
 
 Exit codes: 0 success, 1 usage or input error, or output that cannot be
 written, 2 verification failure, 3 budget exceeded or out of memory.
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -43,7 +45,7 @@ from .braided import (
     mu_max_two_block_superseded,
     realize,
 )
-from .builder import DEFAULT_ARC_BUDGET, build, check_arc_budget
+from .builder import DEFAULT_ARC_BUDGET, JacoGraph, build, check_arc_budget
 from .chroma import _closed_forms, _prefix_reports, chroma_report, underlying_graph
 from .errors import (
     ArcBudgetExceededError,
@@ -261,12 +263,29 @@ def cmd_table3(args) -> int:
     return EXIT_OK
 
 
+def _int(text: str) -> int:
+    """``int(text)``, but an integer of more digits than ``int()`` converts is
+    refused by its digit count instead of echoed back."""
+    try:
+        return int(text)
+    except ValueError:
+        if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # malformed, not too long
+            raise
+        digits = sum(ch.isdecimal() for ch in text)
+        raise argparse.ArgumentTypeError(f"integer too long: {digits} digits") from None
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_int(part) for part in text.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(str(exc)) from None
     except ValueError as exc:
         raise _UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -362,16 +381,26 @@ def _dot(caps: Sequence[int], directed: bool) -> Iterator[str]:
     yield "}\n"
 
 
-def _json_arcs(caps: Sequence[int]) -> Iterator[str]:
-    """The members of the JSON ``arcs`` array, [u, v] for u < v <= caps[u - 1],
-    one piece per vertex."""
-    names = [str(j) for j in range(len(caps) + 1)]
+def _json(g: JacoGraph, caps: Sequence[int] | None) -> Iterator[str]:
+    """The JSON document of ``g``, laid out as ``json.dumps`` lays it out:
+    one piece per vertex record, then, given ``caps``, the ``arcs`` array of
+    [u, v] for u < v <= caps[u - 1], one piece per vertex."""
+    p = g.incidence
+    yield f'{{"incidence": {{"a": {p.a}, "b": {p.b}, "c": {p.c}}}, "n": {g.n}, "vertices": ['
     sep = ""
-    for u, cap in enumerate(caps, start=1):
-        if cap > u:
-            head = f"], [{u}, "
-            yield f"{sep}[{u}, {head.join(names[u + 1:cap + 1])}]"
-            sep = ", "
+    for i, (d, r) in enumerate(zip(g.in_degrees, g.reaches), start=1):
+        yield f'{sep}{{"i": {i}, "in_degree": {d}, "reach": {r}}}'
+        sep = ", "
+    if caps is not None:
+        yield '], "arcs": ['
+        names = [str(j) for j in range(len(caps) + 1)]
+        sep = ""
+        for u, cap in enumerate(caps, start=1):
+            if cap > u:
+                head = f"], [{u}, "
+                yield f"{sep}[{u}, {head.join(names[u + 1:cap + 1])}]"
+                sep = ", "
+    yield "]}\n"
 
 
 def cmd_export(args) -> int:
@@ -381,24 +410,12 @@ def cmd_export(args) -> int:
     if args.arc_budget < 0:
         raise _UsageError(f"--arc-budget must be >= 0, got {args.arc_budget}")
     g = build(p, args.n)
-    caps = underlying_graph(g).interval_caps
+    caps = None
     if args.format != "json" or args.arcs:
         check_arc_budget(g, args.arc_budget)
-    if args.format != "json":
-        _write(args, _dot(caps, directed=args.format == "dot-directed"))
-        return EXIT_OK
-    head = json.dumps({
-        "incidence": {"a": p.a, "b": p.b, "c": p.c},
-        "n": g.n,
-        "vertices": [
-            {"i": i, "in_degree": d, "reach": r}
-            for i, (d, r) in enumerate(zip(g.in_degrees, g.reaches), start=1)
-        ],
-    })
-    if args.arcs:  # spliced in before the closing brace, as the last key
-        _write(args, chain((head[:-1], ', "arcs": ['), _json_arcs(caps), ("]}\n",)))
-    else:
-        _write(args, (head, "\n"))
+        caps = underlying_graph(g).interval_caps
+    directed = args.format == "dot-directed"
+    _write(args, _json(g, caps) if args.format == "json" else _dot(caps, directed))
     return EXIT_OK
 
 
@@ -409,7 +426,7 @@ def _build_parser() -> _Parser:
 
     t1 = sub.add_parser("table1", help="construction table: degrees, Jaconian sets, distances")
     t1.add_argument("--f", required=True, help="incidence polynomial, e.g. x^2 or 2*x^2+3*x+1")
-    t1.add_argument("--n", type=int, required=True, help="largest order to tabulate")
+    t1.add_argument("--n", type=_int, required=True, help="largest order to tabulate")
     t1.add_argument("--show-paper-errata", action="store_true",
                     help="append originally published values where they differ")
     t1.add_argument("--out", help="output path (default: standard output)")
@@ -417,7 +434,7 @@ def _build_parser() -> _Parser:
 
     t3 = sub.add_parser("table3", help="chromatic-sum table: sums, means, variances")
     t3.add_argument("--f", required=True, help="incidence polynomial")
-    t3.add_argument("--n", type=int, required=True, help="largest order to tabulate")
+    t3.add_argument("--n", type=_int, required=True, help="largest order to tabulate")
     t3.add_argument("--weights", action="store_true",
                     help="also emit the canonical minimum/maximum colour-weight vectors")
     t3.add_argument("--show-paper-errata", action="store_true",
@@ -441,19 +458,19 @@ def _build_parser() -> _Parser:
                     help="restrict to this polynomial (repeatable)")
     ve.add_argument("--prop", action="append", metavar="NAME",
                     help=f"run only this property (repeatable); known: {', '.join(available_properties())}")
-    ve.add_argument("--n", type=int, default=200, help="structural grid order bound (default 200)")
-    ve.add_argument("--colouring-n", type=int, default=12,
+    ve.add_argument("--n", type=_int, default=200, help="structural grid order bound (default 200)")
+    ve.add_argument("--colouring-n", type=_int, default=12,
                     help="colouring-oracle order bound (default 12)")
     ve.add_argument("--out", help="output path (default: standard output)")
     ve.set_defaults(func=cmd_verify)
 
     ex = sub.add_parser("export", help="export a graph as JSON or DOT")
     ex.add_argument("--f", required=True, help="incidence polynomial")
-    ex.add_argument("--n", type=int, required=True, help="graph order")
+    ex.add_argument("--n", type=_int, required=True, help="graph order")
     ex.add_argument("--format", choices=("json", "dot-directed", "dot-underlying"),
                     default="json")
     ex.add_argument("--arcs", action="store_true", help="include the arc list in JSON output")
-    ex.add_argument("--arc-budget", type=int, default=DEFAULT_ARC_BUDGET,
+    ex.add_argument("--arc-budget", type=_int, default=DEFAULT_ARC_BUDGET,
                     help="largest arc count to materialize")
     ex.add_argument("--out", help="output path (default: standard output)")
     ex.set_defaults(func=cmd_export)

@@ -115,12 +115,13 @@ def sweep_smallest_max_degree(
     found by building every order from 1 upward.  Raises
     :class:`SearchBudgetExceededError` past ``max_order`` or if the target
     is skipped over."""
-    for n in range(1, max_order + 1):
-        delta = max(underlying_degrees(build(p, n)))
-        if delta == target:
-            return n
-        if delta > target:
-            raise SearchBudgetExceededError(
-                f"maximum degree jumped past {target} (reached {delta} at order {n})"
-            )
+    if target < max_order:  # an order-n graph has maximum degree at most n - 1
+        for n in range(1, max_order + 1):
+            delta = max(underlying_degrees(build(p, n)))
+            if delta == target:
+                return n
+            if delta > target:
+                raise SearchBudgetExceededError(
+                    f"maximum degree jumped past {target} (reached {delta} at order {n})"
+                )
     raise SearchBudgetExceededError(f"target degree {target} not reached by order {max_order}")

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import braided, chroma, oracle
 from .builder import JacoGraph, arcs, build
-from .errors import HopeNotCompleteError
+from .errors import HopeNotCompleteError, OrderTooLargeError
 from .incidence import (
     FamilyClass,
     IncidencePolynomial,
@@ -571,6 +571,10 @@ def run(cfg: VerifyConfig | None = None, only: tuple[str, ...] | None = None) ->
             selected.append((name, known[name]))
     else:
         selected = list(PROPERTIES)
+    exhaustive = any(func is prop_oracle_colouring for _, func in selected)
+    if exhaustive and cfg.colouring_n_max > oracle.MAX_EXHAUSTIVE_ORDER:
+        # refused before any property runs, not after all the others have
+        raise OrderTooLargeError(f"exhaustive oracle capped at order {oracle.MAX_EXHAUSTIVE_ORDER}")
     results = []
     try:
         for name, func in selected:

@@ -383,6 +383,35 @@ def test_verify_rejects_colouring_order_below_one(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    (),
+    ("--prop", "oracle-colouring"),
+    ("--prop", "parse-roundtrip", "--prop", "oracle-colouring"),
+])
+def test_verify_refuses_a_colouring_order_past_the_oracle_cap_before_any_work(
+    capsys, monkeypatch, argv
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a property ran before the colouring order was refused")
+
+    monkeypatch.setattr(verify, "PropertyResult", refuse)
+    code, out, err = run(capsys, "verify", *argv, "--colouring-n", "13")
+    assert (code, out, err) == (1, "", "error: exhaustive oracle capped at order 12\n")
+
+
+def test_verify_takes_a_colouring_order_past_the_oracle_cap_without_the_oracle(capsys):
+    code, out, err = run(capsys, "verify", "--prop", "reversal-identity", "--colouring-n", "13")
+    assert (code, err) == (0, "")
+    assert out.endswith("all 1 properties passed (156 checks)\n")
+
+
+def test_verify_refuses_an_unreachable_locator_target(capsys):
+    # 100*x^2 has maximum degree 10^6 first at an order past the sweep's 20,000
+    code, out, err = run(capsys, "verify", "--f", "100*x^2", "--prop",
+                         "smallest-max-degree-locator")
+    assert (code, out, err) == (3, "", "error: target degree 1000000 not reached by order 20000\n")
+
+
+@pytest.mark.parametrize("argv", [
     ("--n", "0"),
     ("--n", "0", "--prop", "forward-difference"),
     ("--prop", "parse-roundtrip", "--n", "0"),
@@ -436,6 +465,12 @@ PINNED = [
      "ebd0fcf7db4be14c1ff12774c7aa0dfca385542edac7a07e08488f0c0a1ef999"),
     ("export --f x^2 --n 1 --format json --arcs",
      "2e318b0e14f96bb23ec177ffd7a139c5b443cd26038506a307297a4f48125630"),
+    ("export --f 3*x^2+2*x+2 --n 700 --format json",
+     "7c9469894cc6c7e9621ed5e5c2ca4254205bea533963ef8ee8066d1d1896e530"),
+    ("export --f 3 --n 50 --format json",
+     "1ac6671b3dfeb7c1ae16cd8b8ae1dba66f0e9b42098e0d6ae5965f7550b2b1a3"),
+    ("export --f 1 --n 1 --format json",
+     "bfe930e13d5eb32c1b71b047a414e0d87ea0ffa6e45e53c60272894f813eab81"),
     ("braided --orders 7,5 --overlaps 3 --format dot",
      "3be68ee5ef7b49f13149d6b6f5952ff4e3e2f34070aba6e86ab70fc998276998"),
     ("braided --orders 3,1,3 --overlaps 0,0 --format dot",
@@ -635,6 +670,16 @@ def test_export_holds_no_more_than_a_vertex_at_a_time(tmp_path):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs procfs")
+def test_export_json_holds_no_more_than_a_vertex_at_a_time(tmp_path):
+    # 200,000 vertex records in 11 MB of JSON; encoded as one string of n
+    # dicts, they cost about 87 MB more
+    export = _peak_rss_mb(["export", "--f", "x^2", "--n", "200000", "--format", "json",
+                           "--out", str(tmp_path / "graph.json")])
+    baseline = _peak_rss_mb(["table1", "--f", "x^2", "--n", "3"])
+    assert export - baseline <= 30, (export, baseline)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs procfs")
 def test_table1_holds_no_more_than_a_row_at_a_time(tmp_path):
     # every constant Jaconian set covers almost its whole prefix: 3000 rows
     # make 20 MB of output, which joined whole cost about 60 MB more
@@ -650,6 +695,27 @@ def test_verify_holds_a_record_per_order_not_every_degree_tuple():
     checked = _peak_rss_mb(["verify", "--n", "400", "--prop", "min-degree-bound"])
     baseline = _peak_rss_mb(["table1", "--f", "x^2", "--n", "3"])
     assert checked - baseline <= 10, (checked, baseline)
+
+
+_TOO_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["braided", f"--orders={_TOO_LONG},5", "--overlaps=3"],
+     "error: integer too long: 5000 digits\n"),
+    (["table1", "--f=x^2", f"--n={_TOO_LONG}"],
+     "error: argument --n: integer too long: 5000 digits\n"),
+    (["verify", f"--colouring-n=-{_TOO_LONG}"],
+     "error: argument --colouring-n: integer too long: 5000 digits\n"),
+    (["export", "--f=x", "--n=3", f"--arc-budget=1_{_TOO_LONG}"],
+     "error: argument --arc-budget: integer too long: 5001 digits\n"),
+    # malformed values keep their messages
+    (["table1", "--f=x^2", "--n=1__0"], "error: argument --n: invalid int value: '1__0'\n"),
+    (["table1", "--f=x^2", "--n=+-5"], "error: argument --n: invalid int value: '+-5'\n"),
+    (["braided", "--orders=7,x"], "error: expected comma-separated integers, got '7,x'\n"),
+])
+def test_a_too_long_integer_is_named_by_its_digit_count(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
 
 
 # --- the argv grammar: every drawn command line ends in a documented code ----
@@ -706,6 +772,8 @@ def _argv(draw):
 @given(_argv())
 @example(["table1", "--f=" + "9" * 5000, "--n=2"])
 @example(["braided", f"--orders={2**64},5", "--overlaps=3"])
+@example(["braided", f"--orders={_TOO_LONG},5", "--overlaps=3"])
+@example(["table1", "--f=x^2", f"--n={_TOO_LONG}"])
 @settings(max_examples=300, deadline=None)
 def test_every_command_line_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -9,6 +9,7 @@ from jacograph import (
     arcs,
     build,
 )
+from jacograph import oracle
 from jacograph.oracle import (
     arcs_by_definition,
     exhaustive_min_sum,
@@ -82,3 +83,21 @@ def test_sweep_budget():
     with pytest.raises(SearchBudgetExceededError):
         # constant incidence saturates at degree c, so c + 1 is never reached
         sweep_smallest_max_degree(IncidencePolynomial(0, 0, 3), 4, max_order=100)
+
+
+def test_sweep_refuses_an_unreachable_target_before_any_build(monkeypatch):
+    built = []
+
+    def counting_build(p, n):
+        built.append(n)
+        return build(p, n)
+
+    monkeypatch.setattr(oracle, "build", counting_build)
+    # an order-n graph has maximum degree at most n - 1
+    for p, target, max_order in ((IncidencePolynomial(100, 0, 0), 10**6, 20_000), (X2, 50, 50)):
+        with pytest.raises(SearchBudgetExceededError) as info:
+            sweep_smallest_max_degree(p, target, max_order)
+        assert str(info.value) == f"target degree {target} not reached by order {max_order}"
+    assert built == []
+    assert sweep_smallest_max_degree(X2, 1, max_order=2) == 2
+    assert built == [1, 2]
