@@ -34,7 +34,6 @@ from .chroma import (
     chromatic_number,
     chromatic_stats,
     colour_sum,
-    greedy_min_sum,
     min_sum_colouring,
     reverse_colouring,
     underlying_graph,
@@ -112,7 +111,6 @@ __all__ = [
     "evaluate",
     "format_polynomial",
     "forward_difference_bound",
-    "greedy_min_sum",
     "hope_subgraph",
     "jaconian",
     "min_sum_colouring",

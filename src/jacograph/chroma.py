@@ -1,4 +1,4 @@
-"""Exact chromatic-sum analysis on undirected simple graphs.
+"""Exact chromatic-sum analysis of certified proper interval graphs.
 
 The colour sum of a proper colouring S with colour weights theta(c_1),
 ..., theta(c_k) is sum_i i*theta(c_i).  The minimum chromatic sum
@@ -9,24 +9,19 @@ maps a sum s to (chi+1)*|V| - s, so
 
     chi_minus + chi_plus = (chi(G) + 1) * |V(G)|
 
-and chi-plus never needs a second search.
+and chi-plus is read off chi-minus with no second colouring.
 
-The exact solver enumerates colour-class partitions (no colour-label
-symmetry) with branch-and-bound pruning; the same search, stopped at its
-first partition, decides whether k colours suffice.  Within a fixed
-partition, the optimal labelling is forced: larger classes take smaller
-colour indices, so an optimal weight vector is always non-increasing.
-Among optimal colourings the result is canonicalized: lexicographically
-greatest weight vector first, then lexicographically smallest
-vertex-to-colour assignment.
+Within a fixed partition into colour classes the optimal labelling is
+forced: larger classes take smaller colour indices, so an optimal weight
+vector is always non-increasing.  Among optimal colourings the canonical
+one has the lexicographically greatest weight vector, and among those the
+lexicographically smallest vertex-to-colour assignment.
 
 Graphs built from Jaco reaches carry a proper-interval certificate: caps
 cap(1) <= cap(2) <= ... with u ~ v (u < v) exactly when v <= cap(u).
 Because the caps never decrease, every closed neighbourhood is an index
 range and every window [u, cap(u)] is a clique, so the chromatic number is
-the largest window, max(cap(u) - u) + 1, read off in O(n).  For graphs
-without the certificate, chi is the first k, counting up from a greedy
-clique bound, for which the partition search finds k classes.
+the largest window, max(cap(u) - u) + 1, read off in O(n).
 
 Certified graphs are coloured by first-fit in index order, with no
 search: each vertex takes the least colour no earlier neighbour holds.  On
@@ -43,8 +38,13 @@ every j.  A chi-colouring whose first j classes hold W_j <= alpha_j
 vertices has sum chi*n - sum_{j<chi} W_j, so first-fit is optimal, its
 weight vector is the only optimal one, and it is the canonical colouring
 above.  Min-sum colouring is NP-hard on interval graphs in general (Marx
-2005), not on proper ones; other graphs go through the partition search,
-practical up to roughly 25 vertices.
+2005), not on proper ones.
+
+Only certified graphs are coloured here: :func:`chromatic_number`,
+:func:`min_sum_colouring` and :func:`chroma_report` raise ``ValueError``
+on a graph whose ``interval_caps`` is None.  The exact search for any
+other graph is ``oracle.partition_min_sum``, which is practical up to
+roughly 25 vertices.
 
 First-fit colours every prefix of a certified graph as it colours the
 whole.  The prefix 1..k has caps min(cap(u), k), and for v <= k,
@@ -57,7 +57,6 @@ underlying Jaco graph the prefix is the underlying order-k graph.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -67,9 +66,6 @@ from operator import ge, le, mul, sub
 from typing import Iterable, Iterator
 
 from .builder import JacoGraph
-from .errors import SearchBudgetExceededError
-
-DEFAULT_SEARCH_BUDGET = 5_000_000
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -253,139 +249,19 @@ class ChromaticReport:
     var_plus: Fraction
 
 
-class _Budget:
-    __slots__ = ("limit", "left", "order", "k")
-
-    def __init__(self, limit: int, order: int):
-        self.limit = self.left = limit
-        self.order = order
-        self.k: int | None = None  # set by a partition search, for the error
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            k = "" if self.k is None else f" with k = {self.k}"
-            raise SearchBudgetExceededError(
-                f"exact search on {self.order} vertices{k} spent its node budget of {self.limit}"
-            )
+def _caps(graph: SimpleGraph) -> tuple[int, ...]:
+    """The interval certificate that every colouring here reads."""
+    if graph.interval_caps is None:
+        raise ValueError(
+            "graph has no interval certificate; colour it with oracle.partition_min_sum"
+        )
+    return graph.interval_caps
 
 
-def _greedy_clique(adj: tuple[int, ...], n: int) -> int:
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    best = 0
-    for start in order[: min(4, n)]:
-        clique = 1
-        cand = adj[start]
-        while cand:
-            v = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
-            clique += 1
-            cand &= adj[v]
-        best = max(best, clique)
-    return best
-
-
-def chromatic_number(graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET) -> int:
-    """Exact chromatic number.
-
-    Interval-certified graphs are perfect, so chi equals the maximum
-    clique, the largest window [u, cap(u)].  Other graphs run the
-    class-partition search, stopping at its first partition, for k from a
-    greedy clique bound upward (n singleton classes always fit); all k
-    share one node budget, and :class:`SearchBudgetExceededError` is
-    raised when the instance is too hard for it.
-    """
-    if graph.interval_caps is not None:
-        return max(map(sub, graph.interval_caps, range(1, graph.order + 1))) + 1
-    budget = _Budget(node_budget, graph.order)
-    k = _greedy_clique(graph.adjacency, graph.order)
-    while _partition_search(graph, k, budget, first=True) is None:
-        k += 1
-    return k
-
-
-@contextmanager
-def _recursion_guard(search: str, n: int):
-    """Report a search deeper than the recursion limit as too large."""
-    try:
-        yield
-    except RecursionError:
-        raise SearchBudgetExceededError(
-            f"{search} search on {n} vertices exceeds the recursion limit"
-        ) from None
-
-
-class _FirstPartition(Exception):
-    """Unwinds a first-partition search from its first leaf."""
-
-
-def _partition_search(
-    graph: SimpleGraph, k: int, budget: _Budget, first: bool = False
-) -> ProperColouring | None:
-    """Exact minimum-sum search over colour-class partitions.
-
-    Vertices are placed one at a time (most-constrained first) into an
-    existing compatible class or a fresh one, so colour labels never
-    appear during the search and no label symmetry is explored.  A branch
-    is cut when even the optimistic completion (every remaining vertex
-    joining the largest class for +1) cannot beat the incumbent; equal
-    bounds are kept alive because ties are broken canonically at leaves.
-
-    Returns the canonical minimum-sum colouring with exactly k classes, or
-    None when there is none.  With ``first`` set, the search stops at its
-    first leaf and returns that colouring, which answers whether k classes
-    suffice; stopping there costs the minimum-sum search nothing per node.
-    """
-    adj, n = graph.adjacency, graph.order
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    conflicts: list[int] = []  # per class, the vertices it may not take
-    members: list[list[int]] = []
-    best = None  # (sum, negated weights, assignment) of the incumbent
-    budget.k = k
-
-    def place(pos: int) -> None:
-        nonlocal best
-        budget.spend()
-        remaining = n - pos
-        m = len(members)
-        if m + remaining < k:
-            return
-        if pos == n:  # m == k here, as fewer classes were cut above
-            ranked = sorted(members, key=lambda c: (-len(c), min(c)))
-            assignment = [0] * n
-            for colour, c in enumerate(ranked, start=1):
-                for v in c:
-                    assignment[v] = colour
-            key = (_weighted_sum(map(len, ranked)), tuple(-len(c) for c in ranked),
-                   tuple(assignment))
-            if best is None or key < best:
-                best = key
-            if first:
-                raise _FirstPartition
-            return
-        if best is not None:
-            if _weighted_sum(sorted(map(len, members), reverse=True)) + remaining > best[0]:
-                return
-        v = order[pos]
-        bit = 1 << v
-        neigh = adj[v]
-        for t in range(m):
-            saved = conflicts[t]
-            if not saved & bit:
-                conflicts[t] = saved | neigh
-                members[t].append(v)
-                place(pos + 1)
-                members[t].pop()
-                conflicts[t] = saved
-        if m < k:
-            conflicts.append(neigh)
-            members.append([v])
-            place(pos + 1)
-            members.pop()
-            conflicts.pop()
-
-    with _recursion_guard("partition", n), suppress(_FirstPartition):
-        place(0)
-    return None if best is None else ProperColouring(best[2], k, tuple(-w for w in best[1]))
+def chromatic_number(graph: SimpleGraph) -> int:
+    """Chromatic number of a certified graph.  It is perfect, so chi equals
+    the maximum clique, the largest window [u, cap(u)]."""
+    return max(map(sub, _caps(graph), range(1, graph.order + 1))) + 1
 
 
 def _first_fit(caps: tuple[int, ...]) -> ProperColouring:
@@ -413,96 +289,12 @@ def _first_fit(caps: tuple[int, ...]) -> ProperColouring:
     return ProperColouring(tuple(assignment), len(weights), tuple(weights))
 
 
-def min_sum_colouring(
-    graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET
-) -> ProperColouring:
-    """Exact minimum-sum proper colouring with exactly chi(G) colours.
-
-    Among all optima the returned colouring has the lexicographically
-    greatest weight vector, and among those the lexicographically smallest
-    vertex-to-colour assignment.  The weight vector is non-increasing
-    (larger classes on smaller colour indices is forced by optimality).
-    An interval-certified graph gets its first-fit colouring, which is
-    optimal there (see the module docstring), spending no search nodes;
-    every other graph runs the partition search.
+def min_sum_colouring(graph: SimpleGraph) -> ProperColouring:
+    """Exact minimum-sum proper colouring of a certified graph, with exactly
+    chi(G) colours: its first-fit colouring, which is optimal and canonical
+    there (see the module docstring).  The weight vector is non-increasing.
     """
-    if graph.interval_caps is not None:
-        return _first_fit(graph.interval_caps)
-    k = chromatic_number(graph, node_budget)
-    return _partition_search(graph, k, _Budget(node_budget, graph.order))
-
-
-def _mis_size(avail: int, adj: tuple[int, ...], budget: _Budget) -> int:
-    best = 0
-
-    def rec(mask: int, size: int) -> None:
-        nonlocal best
-        budget.spend()
-        if not mask:
-            if size > best:
-                best = size
-            return
-        if size + mask.bit_count() <= best:
-            return
-        v = max(_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
-        rec(mask & ~(adj[v] | (1 << v)), size + 1)
-        if adj[v] & mask:
-            rec(mask & ~(1 << v), size)
-
-    with _recursion_guard("independent-set", len(adj)):
-        rec(avail, 0)
-    return best
-
-
-def _lexmin_mis(avail: int, adj: tuple[int, ...], budget: _Budget) -> int:
-    """Lexicographically smallest maximum independent set within ``avail``,
-    as a bitmask (vertex sets compared as ascending index sequences)."""
-    need = _mis_size(avail, adj, budget)
-    chosen = 0
-    rest = avail
-    while need:
-        for v in _bits(rest):
-            higher = rest & ~((1 << (v + 1)) - 1) & ~adj[v]
-            if _mis_size(higher, adj, budget) >= need - 1:
-                chosen |= 1 << v
-                rest = higher
-                need -= 1
-                break
-    return chosen
-
-
-def greedy_min_sum(
-    graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET
-) -> ProperColouring:
-    """Iterated maximum-independent-set colouring.
-
-    Colour 1 takes a maximum independent set of the graph, colour 2 a
-    maximum independent set of what remains, and so on; ties between
-    maximum independent sets are broken towards the lexicographically
-    smallest vertex set.  Not guaranteed to minimize the colour sum on
-    every graph; the exact solver is the reference.
-
-    On an interval-certified graph the leftmost sweep is the
-    lexicographically smallest maximum independent set, and first-fit
-    runs that sweep for every colour at once, so its colouring is returned
-    with no search.
-    """
-    if graph.interval_caps is not None:
-        return _first_fit(graph.interval_caps)
-    adj = graph.adjacency
-    budget = _Budget(node_budget, graph.order)
-    remaining = (1 << graph.order) - 1
-    assignment = [0] * graph.order
-    weights = []
-    colour = 0
-    while remaining:
-        colour += 1
-        cls = _lexmin_mis(remaining, adj, budget)
-        for v in _bits(cls):
-            assignment[v] = colour
-        weights.append(cls.bit_count())
-        remaining &= ~cls
-    return ProperColouring(assignment=tuple(assignment), k=colour, weights=tuple(weights))
+    return _first_fit(_caps(graph))
 
 
 def _closed_forms(
@@ -544,11 +336,10 @@ def _report(order: int, weights: tuple[int, ...], s1: int, s2: int) -> Chromatic
     )
 
 
-def chroma_report(
-    graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET
-) -> ChromaticReport:
-    """Full chromatic-sum report of the minimum-sum colouring."""
-    weights = min_sum_colouring(graph, node_budget).weights
+def chroma_report(graph: SimpleGraph) -> ChromaticReport:
+    """Full chromatic-sum report of the minimum-sum colouring of a certified
+    graph."""
+    weights = min_sum_colouring(graph).weights
     return _report(graph.order, weights, _weighted_sum(weights),
                    _weighted_sum(map(mul, weights, count(1))))
 

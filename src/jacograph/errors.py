@@ -40,7 +40,9 @@ class HopeNotCompleteError(JacoError):
 
 
 class SearchBudgetExceededError(JacoError):
-    """An exact colouring search exceeded its node budget."""
+    """An oracle search ran out: ``oracle.partition_min_sum`` spent its node
+    budget or went past the recursion limit, or
+    ``oracle.sweep_smallest_max_degree`` did not reach its target degree."""
 
 
 class InvalidBraidError(JacoError, ValueError):

@@ -2,20 +2,31 @@
 
 Nothing here shares algorithmic code with the fast paths: arc sets are
 rebuilt pair by pair from the defining inequality, and colouring optima
-come from unpruned enumeration.  Tests and the verify command compare the
-two sides; any disagreement indicts the fast path.
+come from two searches over the adjacency masks alone, which never use
+the interval structure that first-fit relies on.
+
+- Unpruned enumeration (:func:`exhaustive_min_sum`) takes any graph up to
+  order 12; it checks the first-fit colourings of underlying Jaco graphs.
+- The pruned partition search (:func:`partition_min_sum`) reaches orders
+  near 25 and colours graphs with no certificate, which ``chroma``
+  refuses; it checks first-fit on the same graphs stripped of their
+  certificate, underlying x^2 graphs up to order 20 in ``verify``.
+
+Tests and the verify command compare the two sides; any disagreement
+indicts the fast path.
 """
 
 from __future__ import annotations
 
 from .builder import build
-from .chroma import SimpleGraph
+from .chroma import ProperColouring, SimpleGraph, _bits, _weighted_sum
 from .errors import OrderTooLargeError, SearchBudgetExceededError
 from .incidence import IncidencePolynomial
 from .invariants import underlying_degrees
 
 MAX_DEFINITIONAL_ORDER = 10_000
 MAX_EXHAUSTIVE_ORDER = 12
+DEFAULT_SEARCH_BUDGET = 5_000_000
 
 
 def arcs_by_definition(p: IncidencePolynomial, n: int) -> list[tuple[int, int]]:
@@ -106,6 +117,126 @@ def exhaustive_min_sum(graph: SimpleGraph) -> tuple[int, tuple[int, ...]]:
             best_sum = total
             best_weights = weights
     return best_sum, best_weights
+
+
+class _Budget:
+    __slots__ = ("limit", "left", "order", "k")
+
+    def __init__(self, limit: int, order: int):
+        self.limit = self.left = limit
+        self.order = order
+        self.k = 0  # set by each partition search, for the error
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise SearchBudgetExceededError(
+                f"exact search on {self.order} vertices with k = {self.k}"
+                f" spent its node budget of {self.limit}"
+            )
+
+
+def _greedy_clique(adj: tuple[int, ...], n: int) -> int:
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    best = 0
+    for start in order[: min(4, n)]:
+        clique = 1
+        cand = adj[start]
+        while cand:
+            v = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+            clique += 1
+            cand &= adj[v]
+        best = max(best, clique)
+    return best
+
+
+def _partition_search(graph: SimpleGraph, k: int, budget: _Budget) -> ProperColouring | None:
+    """Exact minimum-sum search over colour-class partitions.
+
+    Vertices are placed one at a time (most-constrained first) into an
+    existing compatible class or a fresh one, so colour labels never
+    appear during the search and no label symmetry is explored.  A branch
+    is cut when even the optimistic completion (every remaining vertex
+    joining the largest class for +1) cannot beat the incumbent; equal
+    bounds are kept alive because ties are broken canonically at leaves.
+
+    Returns the canonical minimum-sum colouring with exactly k classes, or
+    None when there is none.
+    """
+    adj, n = graph.adjacency, graph.order
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    conflicts: list[int] = []  # per class, the vertices it may not take
+    members: list[list[int]] = []
+    best = None  # (sum, negated weights, assignment) of the incumbent
+    budget.k = k
+
+    def place(pos: int) -> None:
+        nonlocal best
+        budget.spend()
+        remaining = n - pos
+        m = len(members)
+        if m + remaining < k:
+            return
+        if pos == n:  # m == k here, as fewer classes were cut above
+            ranked = sorted(members, key=lambda c: (-len(c), min(c)))
+            assignment = [0] * n
+            for colour, c in enumerate(ranked, start=1):
+                for v in c:
+                    assignment[v] = colour
+            key = (_weighted_sum(map(len, ranked)), tuple(-len(c) for c in ranked),
+                   tuple(assignment))
+            if best is None or key < best:
+                best = key
+            return
+        if best is not None:
+            if _weighted_sum(sorted(map(len, members), reverse=True)) + remaining > best[0]:
+                return
+        v = order[pos]
+        bit = 1 << v
+        neigh = adj[v]
+        for t in range(m):
+            saved = conflicts[t]
+            if not saved & bit:
+                conflicts[t] = saved | neigh
+                members[t].append(v)
+                place(pos + 1)
+                members[t].pop()
+                conflicts[t] = saved
+        if m < k:
+            conflicts.append(neigh)
+            members.append([v])
+            place(pos + 1)
+            members.pop()
+            conflicts.pop()
+
+    try:
+        place(0)
+    except RecursionError:
+        raise SearchBudgetExceededError(
+            f"partition search on {n} vertices exceeds the recursion limit"
+        ) from None
+    return None if best is None else ProperColouring(best[2], k, tuple(-w for w in best[1]))
+
+
+def partition_min_sum(
+    graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET
+) -> ProperColouring:
+    """Exact minimum-sum proper colouring with exactly chi(G) colours, by the
+    partition search over the adjacency masks, for any graph.
+
+    k counts up from a greedy clique bound (n singleton classes always
+    fit), and the first k whose search finds a colouring is chi: below chi
+    no search reaches a leaf.  All k share one node budget, and
+    :class:`SearchBudgetExceededError` is raised when the instance is too
+    hard for it.  The result is canonical, as ``chroma`` defines it: the
+    lexicographically greatest weight vector, then the lexicographically
+    smallest assignment.
+    """
+    budget = _Budget(node_budget, graph.order)
+    k = _greedy_clique(graph.adjacency, graph.order)
+    while (colouring := _partition_search(graph, k, budget)) is None:
+        k += 1
+    return colouring
 
 
 def sweep_smallest_max_degree(

@@ -435,15 +435,15 @@ def prop_reversal_identity(cfg: VerifyConfig, res: PropertyResult) -> None:
 
 
 def prop_greedy_agreement(cfg: VerifyConfig, res: PropertyResult) -> None:
-    """Empirical: the iterated maximum-independent-set colouring matches the
-    exact optimum on the reference quadratic family.  A divergence is
-    reported as a failure so it cannot pass silently.  The exact side runs
-    the partition search on the graph stripped of its interval certificate,
-    since on the certified graph both sides read the same first-fit."""
+    """The first-fit colouring of the certified graph matches the exact
+    optimum on the reference quadratic family.  The exact side is the
+    oracle's partition search on the graph stripped of its interval
+    certificate, so the two sides share no code.  A divergence is reported
+    as a failure so it cannot pass silently."""
     for i in range(1, 21):
         g = chroma.underlying_graph(build(X_SQUARED, i))
-        exact = chroma.min_sum_colouring(chroma.SimpleGraph(g.order, g.adjacency))
-        greedy = chroma.greedy_min_sum(g)
+        exact = oracle.partition_min_sum(chroma.SimpleGraph(g.order, g.adjacency))
+        greedy = chroma.min_sum_colouring(g)
         res.check(
             greedy.weights == exact.weights
             and chroma.colour_sum(greedy) == chroma.colour_sum(exact),

@@ -33,6 +33,21 @@ def small_graphs(draw, max_order=8):
     return SimpleGraph.from_edges(order, edges)
 
 
+def stripped(g):
+    """The same graph without its interval certificate, so that only the
+    oracle's partition search can colour it."""
+    return SimpleGraph(g.order, g.adjacency, None)
+
+
+def grotzsch_graph():
+    """Triangle-free (clique bound 2) with chi = 4."""
+    edges = [(i, i % 5 + 1) for i in range(1, 6)]
+    edges += [(i + 5, (i - 2) % 5 + 1) for i in range(1, 6)]
+    edges += [(i + 5, i % 5 + 1) for i in range(1, 6)]
+    edges += [(i + 5, 11) for i in range(1, 6)]
+    return SimpleGraph.from_edges(11, edges)
+
+
 @st.composite
 def non_decreasing_caps(draw, max_order=40):
     """Caps of a proper interval graph: caps[v-1] in v..order, never decreasing."""

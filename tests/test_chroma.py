@@ -16,7 +16,6 @@ from jacograph import (
     chromatic_number,
     chromatic_stats,
     colour_sum,
-    greedy_min_sum,
     min_sum_colouring,
     mu_min_two_block,
     parse,
@@ -25,8 +24,15 @@ from jacograph import (
     underlying_graph,
 )
 from jacograph.chroma import _prefix_reports, _report
-from jacograph.oracle import exhaustive_min_sum
-from conftest import non_decreasing_caps, polynomials, product_sum_range, small_graphs
+from jacograph.oracle import exhaustive_min_sum, partition_min_sum
+from conftest import (
+    grotzsch_graph,
+    non_decreasing_caps,
+    polynomials,
+    product_sum_range,
+    small_graphs,
+    stripped,
+)
 
 X2 = IncidencePolynomial(1, 0, 0)
 
@@ -35,55 +41,33 @@ def jaco_underlying(n, p=X2):
     return underlying_graph(build(p, n))
 
 
-def stripped(g):
-    """The same graph without its interval certificate, so that every
-    colouring of it runs the searches."""
-    return SimpleGraph(g.order, g.adjacency, None)
-
-
 def test_chromatic_number_examples():
     assert chromatic_number(SimpleGraph.complete(5)) == 5
     assert chromatic_number(jaco_underlying(9)) == 7
-    assert chromatic_number(SimpleGraph.from_edges(6, [])) == 1
+    assert chromatic_number(SimpleGraph.from_intervals(range(1, 7))) == 1
 
 
-def test_chromatic_number_generic_path():
-    cycle5 = SimpleGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
-    assert cycle5.interval_caps is None
-    assert chromatic_number(cycle5) == 3
-    cycle6 = SimpleGraph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
-    assert chromatic_number(cycle6) == 2
+def test_uncertified_graphs_are_refused():
+    graph = SimpleGraph.from_edges(5, [(1, 2)])
+    for colour in (chromatic_number, min_sum_colouring, chroma_report):
+        with pytest.raises(ValueError) as info:
+            colour(graph)
+        assert str(info.value) == (
+            "graph has no interval certificate; colour it with oracle.partition_min_sum"
+        )
 
 
-def grotzsch_graph():
-    edges = [(i, i % 5 + 1) for i in range(1, 6)]
-    edges += [(i + 5, (i - 2) % 5 + 1) for i in range(1, 6)]
-    edges += [(i + 5, i % 5 + 1) for i in range(1, 6)]
-    edges += [(i + 5, 11) for i in range(1, 6)]
-    return SimpleGraph.from_edges(11, edges)
-
-
-def test_grotzsch_graph_needs_four_colours():
-    # triangle-free (clique bound 2) with chi = 4, so the search must
-    # reject k = 2 and k = 3 before it finds a partition
-    grotzsch = grotzsch_graph()
-    assert grotzsch.edge_count() == 20
-    assert chromatic_number(grotzsch) == 4
-    colouring = min_sum_colouring(grotzsch)
-    assert ProperColouring.from_assignment(grotzsch, colouring.assignment) == colouring
-    assert (colour_sum(colouring), colouring.weights) == exhaustive_min_sum(grotzsch)
-
-
-@given(small_graphs(max_order=10))
+@given(non_decreasing_caps(max_order=10))
 @settings(max_examples=100, deadline=None)
-def test_chromatic_number_matches_exhaustive_partitions(g):
+def test_chromatic_number_matches_exhaustive_partitions(caps):
+    g = SimpleGraph.from_intervals(caps)
     assert chromatic_number(g) == len(exhaustive_min_sum(g)[1])
 
 
 def test_certificate_agrees_with_generic_search():
     for n in range(1, 16):
         g = jaco_underlying(n)
-        assert chromatic_number(g) == chromatic_number(stripped(g))
+        assert chromatic_number(g) == partition_min_sum(stripped(g)).k
 
 
 def test_min_sum_examples():
@@ -108,26 +92,12 @@ def test_min_sum_canonical_assignment():
     assert classes == {1: [1, 3], 2: [2, 6], 3: [4], 4: [5]}
 
 
-def test_greedy_examples():
-    greedy6 = greedy_min_sum(jaco_underlying(6))
-    assert greedy6.weights == (2, 2, 1, 1)
-    assert colour_sum(greedy6) == 13
-    assert greedy6.assignment == (1, 2, 1, 3, 4, 2)
-
-    assert greedy_min_sum(SimpleGraph.complete(3)).weights == (1, 1, 1)
-    assert colour_sum(greedy_min_sum(SimpleGraph.complete(3))) == 6
-
-    edgeless = greedy_min_sum(SimpleGraph.from_edges(5, []))
-    assert edgeless.weights == (5,)
-    assert colour_sum(edgeless) == 5
-
-
 def test_greedy_matches_exact_on_reference_family():
     for n in range(1, 21):
         g = jaco_underlying(n)
-        # the certified graph gives both sides the same first-fit
-        exact = min_sum_colouring(stripped(g))
-        greedy = greedy_min_sum(g)
+        # first-fit on the certified graph, the search on the stripped one
+        exact = partition_min_sum(stripped(g))
+        greedy = min_sum_colouring(g)
         assert greedy.weights == exact.weights
         assert colour_sum(greedy) == colour_sum(exact)
 
@@ -156,7 +126,7 @@ def test_chromatic_stats_examples():
     six = min_sum_colouring(jaco_underlying(6))
     assert chromatic_stats(six) == (Fraction(13, 6), Fraction(41, 36))
 
-    single = min_sum_colouring(SimpleGraph.from_edges(1, []))
+    single = min_sum_colouring(SimpleGraph.from_intervals([1]))
     assert chromatic_stats(single) == (Fraction(1), Fraction(0))
 
 
@@ -234,54 +204,20 @@ def test_proper_colouring_validation():
         SimpleGraph.from_edges(3, [(1, 1)])
 
 
-def test_search_budget_raises():
-    # odd cycle: no interval certificate and a clique bound (2) below chi
-    # (3), so the partition search must actually run and hit the budget
-    cycle9 = SimpleGraph.from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)])
-    with pytest.raises(SearchBudgetExceededError) as info:
-        chromatic_number(cycle9, node_budget=2)
-    assert str(info.value) == "exact search on 9 vertices with k = 2 spent its node budget of 2"
-    fifteen = jaco_underlying(15)
-    with pytest.raises(SearchBudgetExceededError):
-        min_sum_colouring(stripped(fifteen), node_budget=3)
-    with pytest.raises(SearchBudgetExceededError):
-        greedy_min_sum(stripped(fifteen), node_budget=3)
-    # with its certificate the graph is coloured without a search
-    assert min_sum_colouring(fifteen, node_budget=3) == min_sum_colouring(stripped(fifteen))
-    assert greedy_min_sum(fifteen, node_budget=3) == greedy_min_sum(stripped(fifteen))
-
-
 @pytest.mark.parametrize("make, least", [
     pytest.param(lambda: SimpleGraph.from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)]),
-                 (19, 168, 70), id="9-cycle"),
-    pytest.param(lambda: stripped(jaco_underlying(16)), (17, 669, 261), id="stripped-x2-16"),
-    pytest.param(lambda: stripped(jaco_underlying(20)), (21, 3364, 396), id="stripped-x2-20"),
-    pytest.param(grotzsch_graph, (100, 740, 123), id="groetzsch"),
+                 177, id="9-cycle"),
+    pytest.param(lambda: stripped(jaco_underlying(16)), 669, id="stripped-x2-16"),
+    pytest.param(lambda: stripped(jaco_underlying(20)), 3364, id="stripped-x2-20"),
+    pytest.param(grotzsch_graph, 828, id="groetzsch"),
 ])
 def test_least_search_budgets_are_pinned(make, least):
-    # the fewest nodes with which chromatic_number, min_sum_colouring and
-    # greedy_min_sum succeed; a change to the search order, the pruning or
-    # the budget policy moves them
+    # the fewest nodes with which oracle.partition_min_sum succeeds; a
+    # change to the search order, the pruning or the budget policy moves it
     graph = make()
-    for search, budget in zip((chromatic_number, min_sum_colouring, greedy_min_sum), least):
-        search(graph, node_budget=budget)
-        with pytest.raises(SearchBudgetExceededError):
-            search(graph, node_budget=budget - 1)
-
-
-def test_deep_search_ends_in_budget_error():
-    # both searches recurse once per vertex; past the recursion limit they
-    # must stop with a budget error, not a RecursionError
-    with pytest.raises(SearchBudgetExceededError,
-                       match="^independent-set search on 1000 vertices exceeds the recursion limit$"):
-        greedy_min_sum(stripped(jaco_underlying(1000)))
-
-
-def test_deep_braid_search_ends_in_budget_error():
-    braid = stripped(realize(BraidedString((600, 600), (1,))))
-    with pytest.raises(SearchBudgetExceededError,
-                       match="^partition search on 1199 vertices exceeds the recursion limit$"):
-        chroma_report(braid)
+    partition_min_sum(graph, node_budget=least)
+    with pytest.raises(SearchBudgetExceededError):
+        partition_min_sum(graph, node_budget=least - 1)
 
 
 @given(st.one_of(polynomials(), polynomials(10, 10, 10)), st.integers(1, 300))
@@ -302,8 +238,7 @@ def test_caps_are_the_clipped_reaches_cut_where_v_n_is_first_reached(p, n):
 @settings(max_examples=200, deadline=None)
 def test_certified_colourings_match_the_searches(caps):
     g = SimpleGraph.from_intervals(caps)
-    assert min_sum_colouring(g) == min_sum_colouring(stripped(g))
-    assert greedy_min_sum(g) == greedy_min_sum(stripped(g))
+    assert min_sum_colouring(g) == partition_min_sum(stripped(g))
 
 
 def alpha_greedy(caps, j):
@@ -337,19 +272,19 @@ def test_first_fit_classes_are_the_greedy_alpha_sets(caps):
 
 
 def test_certified_graphs_past_the_search_spend_no_nodes():
-    # each of these exhausts the partition search's default budget; a
-    # budget of 0 shows that the certified path runs no search at all
+    # each of these exhausts the partition search's default budget; the
+    # certified path colours them with no search at all
     x2 = jaco_underlying(60)
-    colouring = min_sum_colouring(x2, node_budget=0)
+    colouring = min_sum_colouring(x2)
     assert ProperColouring.from_assignment(x2, colouring.assignment) == colouring
     assert colour_sum(colouring) == 1449
-    assert chroma_report(jaco_underlying(24, parse("3")), node_budget=0).chi_minus == 60
+    assert chroma_report(jaco_underlying(24, parse("3"))).chi_minus == 60
     braid = realize(BraidedString((20, 15), (7,)))
-    assert chroma_report(braid, node_budget=0).mu_minus == Fraction(123, 14)
+    assert chroma_report(braid).mu_minus == Fraction(123, 14)
     assert mu_min_two_block(20, 15, 7) == Fraction(123, 14)
 
 
-@given(small_graphs())
+@given(non_decreasing_caps(max_order=10).map(SimpleGraph.from_intervals))
 @settings(max_examples=120, deadline=None)
 def test_solver_matches_partition_oracle(g):
     colouring = min_sum_colouring(g)
@@ -358,7 +293,7 @@ def test_solver_matches_partition_oracle(g):
     assert colouring.weights == expected_weights
 
 
-@given(small_graphs(max_order=6))
+@given(non_decreasing_caps(max_order=6).map(SimpleGraph.from_intervals))
 @settings(max_examples=60, deadline=None)
 def test_solver_matches_literal_product_enumeration(g):
     chi, min_sum, max_sum, weights = product_sum_range(g)
@@ -369,7 +304,7 @@ def test_solver_matches_literal_product_enumeration(g):
     assert report.weights_min == weights
 
 
-@given(st.one_of(small_graphs(), non_decreasing_caps().map(SimpleGraph.from_intervals)))
+@given(non_decreasing_caps().map(SimpleGraph.from_intervals))
 @settings(max_examples=200, deadline=None)
 def test_reversal_identity_and_stats(g):
     report = chroma_report(g)
@@ -390,14 +325,14 @@ def test_reversal_identity_and_stats(g):
 @given(small_graphs())
 @settings(max_examples=80, deadline=None)
 def test_reversed_colouring_stats_relation(g):
-    s = min_sum_colouring(g)
+    s = partition_min_sum(g)
     mean, var = chromatic_stats(s)
     rmean, rvar = chromatic_stats(reverse_colouring(s))
     assert rmean == (s.k + 1) - mean
     assert rvar == var
 
 
-@given(small_graphs())
+@given(non_decreasing_caps().map(SimpleGraph.from_intervals))
 @settings(max_examples=80, deadline=None)
 def test_min_weights_are_non_increasing(g):
     weights = min_sum_colouring(g).weights

@@ -2,20 +2,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacograph import (
+    BraidedString,
     IncidencePolynomial,
     OrderTooLargeError,
+    ProperColouring,
     SearchBudgetExceededError,
     SimpleGraph,
     arcs,
     build,
+    colour_sum,
+    min_sum_colouring,
+    realize,
+    underlying_graph,
 )
 from jacograph import oracle
 from jacograph.oracle import (
     arcs_by_definition,
     exhaustive_min_sum,
+    partition_min_sum,
     sweep_smallest_max_degree,
 )
-from conftest import product_sum_range, small_graphs
+from conftest import grotzsch_graph, product_sum_range, small_graphs, stripped
 
 X2 = IncidencePolynomial(1, 0, 0)
 
@@ -69,6 +76,68 @@ def test_partition_oracle_matches_literal_product_enumeration(g):
     got_sum, got_weights = exhaustive_min_sum(g)
     assert got_sum == min_sum
     assert got_weights == weights
+
+
+def test_partition_min_sum_generic_path():
+    cycle5 = SimpleGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+    assert cycle5.interval_caps is None
+    assert partition_min_sum(cycle5).k == 3
+    cycle6 = SimpleGraph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+    assert partition_min_sum(cycle6).k == 2
+
+
+def test_grotzsch_graph_needs_four_colours():
+    # triangle-free (clique bound 2) with chi = 4, so the search must
+    # reject k = 2 and k = 3 before it finds a partition
+    grotzsch = grotzsch_graph()
+    assert grotzsch.edge_count() == 20
+    colouring = partition_min_sum(grotzsch)
+    assert colouring.k == 4
+    assert ProperColouring.from_assignment(grotzsch, colouring.assignment) == colouring
+    assert (colour_sum(colouring), colouring.weights) == exhaustive_min_sum(grotzsch)
+
+
+@given(small_graphs(max_order=10))
+@settings(max_examples=120, deadline=None)
+def test_partition_min_sum_matches_exhaustive_partitions(g):
+    colouring = partition_min_sum(g)
+    assert ProperColouring.from_assignment(g, colouring.assignment) == colouring
+    assert (colour_sum(colouring), colouring.weights) == exhaustive_min_sum(g)
+
+
+@given(small_graphs())
+@settings(max_examples=80, deadline=None)
+def test_partition_min_sum_weights_are_non_increasing(g):
+    weights = partition_min_sum(g).weights
+    assert all(weights[i] >= weights[i + 1] for i in range(len(weights) - 1))
+    assert sum(weights) == g.order
+    assert all(w >= 1 for w in weights)
+
+
+def test_search_budget_raises():
+    # odd cycle: a clique bound (2) below chi (3), so the search at k = 2
+    # must actually run and hit the budget
+    cycle9 = SimpleGraph.from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)])
+    with pytest.raises(SearchBudgetExceededError) as info:
+        partition_min_sum(cycle9, node_budget=2)
+    assert str(info.value) == "exact search on 9 vertices with k = 2 spent its node budget of 2"
+    fifteen = stripped(underlying_graph(build(X2, 15)))
+    with pytest.raises(SearchBudgetExceededError) as info:
+        partition_min_sum(fifteen, node_budget=3)
+    assert str(info.value) == "exact search on 15 vertices with k = 12 spent its node budget of 3"
+
+
+def test_deep_braid_search_ends_in_budget_error():
+    # the search recurses once per vertex; past the recursion limit it
+    # must stop with a budget error, not a RecursionError
+    braid = realize(BraidedString((600, 600), (1,)))
+    with pytest.raises(SearchBudgetExceededError,
+                       match="^partition search on 1199 vertices exceeds the recursion limit$"):
+        partition_min_sum(stripped(braid))
+    # the certificate is never read: the certified braid is searched alike
+    with pytest.raises(SearchBudgetExceededError, match="exceeds the recursion limit"):
+        partition_min_sum(braid)
+    assert min_sum_colouring(braid).k == 600
 
 
 def test_sweep_examples():
