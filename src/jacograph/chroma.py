@@ -40,11 +40,11 @@ weight vector is the only optimal one, and it is the canonical colouring
 above.  Min-sum colouring is NP-hard on interval graphs in general (Marx
 2005), not on proper ones.
 
-Only certified graphs are coloured here: :func:`chromatic_number`,
-:func:`min_sum_colouring` and :func:`chroma_report` raise ``ValueError``
-on a graph whose ``interval_caps`` is None.  The exact search for any
-other graph is ``oracle.partition_min_sum``, which is practical up to
-roughly 25 vertices.
+Every graph here is certified: a :class:`SimpleGraph` is its caps, checked
+when it is made, and :func:`chromatic_number`, :func:`min_sum_colouring`
+and :func:`chroma_report` read them.  The exact search for any other
+graph is ``oracle.partition_min_sum``, which takes plain adjacency masks
+and is practical up to roughly 25 vertices.
 
 First-fit colours every prefix of a certified graph as it colours the
 whole.  The prefix 1..k has caps min(cap(u), k), and for v <= k,
@@ -57,7 +57,8 @@ underlying Jaco graph the prefix is the underlying order-k graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
@@ -68,66 +69,22 @@ from typing import Iterable, Iterator
 from .builder import JacoGraph
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph on vertices 1..order.
+    """Proper interval graph on vertices 1..order, held as its caps.
 
-    ``adjacency[v - 1]`` is a bitmask with bit (u - 1) set when u ~ v.
-    ``interval_caps``, when present, certifies proper interval structure:
-    the caps are non-decreasing and u ~ v for u < v exactly when
-    v <= interval_caps[u - 1].  ``masks`` is None on a certified graph, as
-    the certified paths never read them; ``adjacency`` derives them from
-    the caps once, on first read.  Equality, hashing and repr read only
-    the order, ``masks`` and the caps, and repr never prints a mask.
+    ``interval_caps`` is the graph's one representation: the caps are
+    non-decreasing, ``interval_caps[u - 1]`` lies in u..order, and u ~ v
+    for u < v exactly when v <= interval_caps[u - 1].  The constructor
+    checks both conditions, so every graph carries its certificate, and
+    every query reads the caps.  Only ``adjacency`` builds bitmasks, for
+    the oracle, once on first read.
     """
 
-    order: int
-    masks: tuple[int, ...] | None = field(repr=False)
-    interval_caps: tuple[int, ...] | None = None
+    interval_caps: tuple[int, ...]
 
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """The masks, given or derived: v's closed neighbourhood is
-        lo..cap(v), where lo, the first vertex whose cap reaches v, only
-        grows."""
-        if self.masks is not None:
-            return self.masks
-        caps, masks, lo = self.interval_caps, [], 1
-        for v, cap in enumerate(caps, start=1):
-            while caps[lo - 1] < v:
-                lo += 1
-            masks.append((1 << cap) - (1 << (lo - 1)) - (1 << (v - 1)))
-        return tuple(masks)
-
-    @classmethod
-    def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        masks = [0] * order
-        for u, v in edges:
-            if not (1 <= u <= order and 1 <= v <= order):
-                raise ValueError(f"edge ({u}, {v}) outside 1..{order}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            masks[u - 1] |= 1 << (v - 1)
-            masks[v - 1] |= 1 << (u - 1)
-        return cls(order, tuple(masks))
-
-    @classmethod
-    def from_intervals(cls, caps: Iterable[int]) -> "SimpleGraph":
-        """Build the proper interval graph where u ~ v (u < v) iff v <= caps[u-1].
-
-        The caps must be non-decreasing, with caps[u-1] in u..order.  Only
-        the caps are stored.
-        """
-        caps = tuple(caps)
+    def __post_init__(self) -> None:
+        caps = self.interval_caps
         order = len(caps)
         if order < 1:
             raise ValueError("at least one vertex required")
@@ -138,31 +95,54 @@ class SimpleGraph:
                     raise ValueError(f"cap of vertex {v} must lie in {v}..{order}, got {cap}")
                 if v > 1 and cap < caps[v - 2]:
                     raise ValueError(f"caps must be non-decreasing, got {caps[v - 2]} then {cap}")
-        return cls(order, None, caps)
+
+    @property
+    def order(self) -> int:
+        return len(self.interval_caps)
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """``adjacency[v - 1]`` is a bitmask with bit (u - 1) set when u ~ v:
+        v's closed neighbourhood is lo..cap(v), where lo, the first vertex
+        whose cap reaches v, only grows."""
+        caps, masks, lo = self.interval_caps, [], 1
+        for v, cap in enumerate(caps, start=1):
+            while caps[lo - 1] < v:
+                lo += 1
+            masks.append((1 << cap) - (1 << (lo - 1)) - (1 << (v - 1)))
+        return tuple(masks)
+
+    @classmethod
+    def from_intervals(cls, caps: Iterable[int]) -> "SimpleGraph":
+        """Build the proper interval graph where u ~ v (u < v) iff v <= caps[u-1]."""
+        return cls(tuple(caps))
 
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
         return cls.from_intervals([n] * n)
 
+    def _lo(self, v: int) -> int:
+        """The first vertex whose cap reaches v."""
+        return bisect_left(self.interval_caps, v) + 1
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u - 1] >> (v - 1) & 1)
+        u, v = sorted((u, v))
+        return u < v <= self.interval_caps[u - 1]
 
     def neighbours(self, v: int) -> tuple[int, ...]:
-        return tuple(b + 1 for b in _bits(self.adjacency[v - 1]))
+        return (*range(self._lo(v), v), *range(v + 1, self.interval_caps[v - 1] + 1))
 
     def degree(self, v: int) -> int:
-        return self.adjacency[v - 1].bit_count()
+        return self.interval_caps[v - 1] - self._lo(v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(1, self.order + 1):
-            rest = self.adjacency[u - 1] >> u  # neighbours above u
-            for b in _bits(rest):
-                yield (u, u + 1 + b)
+        for u, cap in enumerate(self.interval_caps, start=1):
+            for v in range(u + 1, cap + 1):
+                yield (u, v)
 
     def edge_count(self) -> int:
-        if self.interval_caps is not None:  # the sum of cap(u) - u
-            return sum(self.interval_caps) - self.order * (self.order + 1) // 2
-        return sum(m.bit_count() for m in self.adjacency) // 2
+        """The sum of cap(u) - u."""
+        return sum(self.interval_caps) - self.order * (self.order + 1) // 2
 
 
 def underlying_graph(g: JacoGraph) -> SimpleGraph:
@@ -249,19 +229,10 @@ class ChromaticReport:
     var_plus: Fraction
 
 
-def _caps(graph: SimpleGraph) -> tuple[int, ...]:
-    """The interval certificate that every colouring here reads."""
-    if graph.interval_caps is None:
-        raise ValueError(
-            "graph has no interval certificate; colour it with oracle.partition_min_sum"
-        )
-    return graph.interval_caps
-
-
 def chromatic_number(graph: SimpleGraph) -> int:
     """Chromatic number of a certified graph.  It is perfect, so chi equals
     the maximum clique, the largest window [u, cap(u)]."""
-    return max(map(sub, _caps(graph), range(1, graph.order + 1))) + 1
+    return max(map(sub, graph.interval_caps, range(1, graph.order + 1))) + 1
 
 
 def _first_fit(caps: tuple[int, ...]) -> ProperColouring:
@@ -294,7 +265,7 @@ def min_sum_colouring(graph: SimpleGraph) -> ProperColouring:
     chi(G) colours: its first-fit colouring, which is optimal and canonical
     there (see the module docstring).  The weight vector is non-increasing.
     """
-    return _first_fit(_caps(graph))
+    return _first_fit(graph.interval_caps)
 
 
 def _closed_forms(

@@ -2,15 +2,17 @@
 
 Nothing here shares algorithmic code with the fast paths: arc sets are
 rebuilt pair by pair from the defining inequality, and colouring optima
-come from two searches over the adjacency masks alone, which never use
-the interval structure that first-fit relies on.
+come from two searches that take a graph as a plain tuple of adjacency
+masks (bit u - 1 of ``adj[v - 1]`` is set when u ~ v), so they never see
+the interval structure that first-fit relies on.  A certified graph
+``g`` is searched as ``g.adjacency``; :func:`from_edges` gives the masks
+of any other graph.
 
 - Unpruned enumeration (:func:`exhaustive_min_sum`) takes any graph up to
   order 12; it checks the first-fit colourings of underlying Jaco graphs.
 - The pruned partition search (:func:`partition_min_sum`) reaches orders
-  near 25 and colours graphs with no certificate, which ``chroma``
-  refuses; it checks first-fit on the same graphs stripped of their
-  certificate, underlying x^2 graphs up to order 20 in ``verify``.
+  near 25 and colours any graph; it checks first-fit on underlying x^2
+  graphs up to order 20 in ``verify``.
 
 Tests and the verify command compare the two sides; any disagreement
 indicts the fast path.
@@ -18,8 +20,10 @@ indicts the fast path.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .builder import build
-from .chroma import ProperColouring, SimpleGraph, _bits, _weighted_sum
+from .chroma import ProperColouring, _weighted_sum
 from .errors import OrderTooLargeError, SearchBudgetExceededError
 from .incidence import IncidencePolynomial
 from .invariants import underlying_degrees
@@ -58,15 +62,38 @@ def arcs_by_definition(p: IncidencePolynomial, n: int) -> list[tuple[int, int]]:
     return sorted(arc_set)
 
 
-def _independent(graph: SimpleGraph, members: list[int], v: int) -> bool:
-    return all(not graph.has_edge(u, v) for u in members)
+def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The adjacency masks of a graph on 1..order given by its edges:
+    bit (u - 1) of ``masks[v - 1]`` is set when u ~ v."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    masks = [0] * order
+    for u, v in edges:
+        if not (1 <= u <= order and 1 <= v <= order):
+            raise ValueError(f"edge ({u}, {v}) outside 1..{order}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u} not allowed")
+        masks[u - 1] |= 1 << (v - 1)
+        masks[v - 1] |= 1 << (u - 1)
+    return tuple(masks)
 
 
-def _partitions(graph: SimpleGraph, k: int):
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _independent(adj: tuple[int, ...], members: list[int], v: int) -> bool:
+    return all(not adj[u - 1] >> (v - 1) & 1 for u in members)
+
+
+def _partitions(adj: tuple[int, ...], k: int):
     """Yield every partition of the vertices into at most k independent
     classes (classes identified by their smallest vertex, so no colour
     permutations are generated)."""
-    n = graph.order
+    n = len(adj)
     classes: list[list[int]] = []
 
     def rec(v: int):
@@ -74,7 +101,7 @@ def _partitions(graph: SimpleGraph, k: int):
             yield [list(c) for c in classes]
             return
         for c in classes:
-            if _independent(graph, c, v):
+            if _independent(adj, c, v):
                 c.append(v)
                 yield from rec(v + 1)
                 c.pop()
@@ -86,15 +113,16 @@ def _partitions(graph: SimpleGraph, k: int):
     yield from rec(1)
 
 
-def _chi_by_enumeration(graph: SimpleGraph) -> int:
-    for k in range(1, graph.order + 1):
-        for _ in _partitions(graph, k):
+def _chi_by_enumeration(adj: tuple[int, ...]) -> int:
+    for k in range(1, len(adj) + 1):
+        for _ in _partitions(adj, k):
             return k
     raise AssertionError("unreachable: n colours always suffice")
 
 
-def exhaustive_min_sum(graph: SimpleGraph) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive minimum chromatic sum and its canonical weight vector.
+def exhaustive_min_sum(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Exhaustive minimum chromatic sum and its canonical weight vector of
+    the graph with adjacency masks ``adj``.
 
     The chromatic number is found by enumeration from k = 1 upward, then
     every partition into exactly chi classes is enumerated without any
@@ -103,12 +131,12 @@ def exhaustive_min_sum(graph: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     sizes in non-increasing order; the reported vector is the
     lexicographically greatest one among the minimum-sum partitions.
     """
-    if graph.order > MAX_EXHAUSTIVE_ORDER:
+    if len(adj) > MAX_EXHAUSTIVE_ORDER:
         raise OrderTooLargeError(f"exhaustive oracle capped at order {MAX_EXHAUSTIVE_ORDER}")
-    chi = _chi_by_enumeration(graph)
+    chi = _chi_by_enumeration(adj)
     best_sum: int | None = None
     best_weights: tuple[int, ...] | None = None
-    for classes in _partitions(graph, chi):
+    for classes in _partitions(adj, chi):
         if len(classes) != chi:
             continue
         weights = tuple(sorted((len(c) for c in classes), reverse=True))
@@ -136,10 +164,10 @@ class _Budget:
             )
 
 
-def _greedy_clique(adj: tuple[int, ...], n: int) -> int:
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+def _greedy_clique(adj: tuple[int, ...]) -> int:
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
     best = 0
-    for start in order[: min(4, n)]:
+    for start in order[:4]:
         clique = 1
         cand = adj[start]
         while cand:
@@ -150,7 +178,7 @@ def _greedy_clique(adj: tuple[int, ...], n: int) -> int:
     return best
 
 
-def _partition_search(graph: SimpleGraph, k: int, budget: _Budget) -> ProperColouring | None:
+def _partition_search(adj: tuple[int, ...], k: int, budget: _Budget) -> ProperColouring | None:
     """Exact minimum-sum search over colour-class partitions.
 
     Vertices are placed one at a time (most-constrained first) into an
@@ -163,7 +191,7 @@ def _partition_search(graph: SimpleGraph, k: int, budget: _Budget) -> ProperColo
     Returns the canonical minimum-sum colouring with exactly k classes, or
     None when there is none.
     """
-    adj, n = graph.adjacency, graph.order
+    n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     conflicts: list[int] = []  # per class, the vertices it may not take
     members: list[list[int]] = []
@@ -219,10 +247,10 @@ def _partition_search(graph: SimpleGraph, k: int, budget: _Budget) -> ProperColo
 
 
 def partition_min_sum(
-    graph: SimpleGraph, node_budget: int = DEFAULT_SEARCH_BUDGET
+    adj: tuple[int, ...], node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> ProperColouring:
     """Exact minimum-sum proper colouring with exactly chi(G) colours, by the
-    partition search over the adjacency masks, for any graph.
+    partition search over the adjacency masks ``adj``, for any graph.
 
     k counts up from a greedy clique bound (n singleton classes always
     fit), and the first k whose search finds a colouring is chi: below chi
@@ -232,9 +260,9 @@ def partition_min_sum(
     lexicographically greatest weight vector, then the lexicographically
     smallest assignment.
     """
-    budget = _Budget(node_budget, graph.order)
-    k = _greedy_clique(graph.adjacency, graph.order)
-    while (colouring := _partition_search(graph, k, budget)) is None:
+    budget = _Budget(node_budget, len(adj))
+    k = _greedy_clique(adj)
+    while (colouring := _partition_search(adj, k, budget)) is None:
         k += 1
     return colouring
 

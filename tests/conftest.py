@@ -4,7 +4,8 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from jacograph import IncidencePolynomial, SimpleGraph
+from jacograph import IncidencePolynomial
+from jacograph.oracle import from_edges
 
 
 @st.composite
@@ -27,25 +28,38 @@ def quadratic_polynomials(draw, max_a=3, max_b=3, max_c=3):
 
 @st.composite
 def small_graphs(draw, max_order=8):
+    """The adjacency masks of an arbitrary graph."""
     order = draw(st.integers(1, max_order))
     pairs = list(combinations(range(1, order + 1), 2))
     edges = [pair for pair in pairs if draw(st.booleans())]
-    return SimpleGraph.from_edges(order, edges)
-
-
-def stripped(g):
-    """The same graph without its interval certificate, so that only the
-    oracle's partition search can colour it."""
-    return SimpleGraph(g.order, g.adjacency, None)
+    return from_edges(order, edges)
 
 
 def grotzsch_graph():
-    """Triangle-free (clique bound 2) with chi = 4."""
+    """The adjacency masks of a triangle-free graph (clique bound 2) with
+    chi = 4."""
     edges = [(i, i % 5 + 1) for i in range(1, 6)]
     edges += [(i + 5, (i - 2) % 5 + 1) for i in range(1, 6)]
     edges += [(i + 5, i % 5 + 1) for i in range(1, 6)]
     edges += [(i + 5, 11) for i in range(1, 6)]
-    return SimpleGraph.from_edges(11, edges)
+    return from_edges(11, edges)
+
+
+def mask_edges(adj):
+    """Every edge (u, v), u < v, of the graph with adjacency masks ``adj``,
+    read pair by pair."""
+    n = len(adj)
+    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+            if adj[u - 1] >> (v - 1) & 1]
+
+
+def is_proper(adj, colouring):
+    """Whether ``colouring`` properly colours the graph with adjacency masks
+    ``adj``, using each of its colours 1..k as often as its weights say."""
+    a = colouring.assignment
+    weights = tuple(a.count(c) for c in range(1, colouring.k + 1))
+    return (len(a) == len(adj) and weights == colouring.weights and 0 not in weights
+            and all(a[u - 1] != a[v - 1] for u, v in mask_edges(adj)))
 
 
 @st.composite
@@ -58,16 +72,17 @@ def non_decreasing_caps(draw, max_order=40):
     return caps
 
 
-def product_sum_range(graph):
-    """Fully literal reference: enumerate every colour assignment tuple.
+def product_sum_range(adj):
+    """Fully literal reference: enumerate every colour assignment tuple of
+    the graph with adjacency masks ``adj``.
 
     Finds chi by trying k = 1 upward, then walks all k^n assignments,
     keeping the proper ones that use every colour.  Returns
     (chi, min_sum, max_sum, lex-greatest minimum weight vector).
     Only sane for very small graphs.
     """
-    n = graph.order
-    edges = list(graph.edges())
+    n = len(adj)
+    edges = mask_edges(adj)
 
     def proper(assign):
         return all(assign[u - 1] != assign[v - 1] for u, v in edges)

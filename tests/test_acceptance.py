@@ -199,7 +199,7 @@ def test_criterion_3_table3_reproduction():
             break
     # the corrected row-10 variance is corroborated by the independent
     # exhaustive oracle: its weights pin the second moment
-    _, oracle_weights = exhaustive_min_sum(underlying_graph(build(X2, 10)))
+    _, oracle_weights = exhaustive_min_sum(underlying_graph(build(X2, 10)).adjacency)
     mean = Fraction(sum(i * w for i, w in enumerate(oracle_weights, start=1)), 10)
     second = Fraction(sum(i * i * w for i, w in enumerate(oracle_weights, start=1)), 10)
     if second - mean * mean != Fraction(569, 100):
@@ -254,7 +254,7 @@ def test_criterion_6_oracle_equivalence():
                 mismatches += 1
             underlying = underlying_graph(g)
             colouring = min_sum_colouring(underlying)
-            oracle_sum, oracle_weights = exhaustive_min_sum(underlying)
+            oracle_sum, oracle_weights = exhaustive_min_sum(underlying.adjacency)
             if colour_sum(colouring) != oracle_sum or colouring.weights != oracle_weights:
                 mismatches += 1
     report(6, "oracle-equivalence", mismatches == 0, f"{mismatches} mismatches")

@@ -7,7 +7,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from jacograph import IncidencePolynomial, build, chroma, underlying_graph
+from jacograph import BraidedString, IncidencePolynomial, build, chroma, realize, underlying_graph
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -41,3 +41,22 @@ def test_chroma_report_calls_min_sum_colouring_by_its_module_name(monkeypatch):
     monkeypatch.setattr(chroma, "min_sum_colouring", counting)
     chroma.chroma_report(underlying_graph(build(IncidencePolynomial(1, 0, 0), 30)))
     assert calls == [30]
+
+
+def test_graphs_are_made_through_from_intervals(monkeypatch):
+    # the tracer's chroma.from_intervals span and its edge count see only
+    # graphs made through the class method; a direct constructor call would
+    # leave them at 0
+    calls = []
+    original = chroma.SimpleGraph.from_intervals.__func__
+
+    def counting(cls, caps):
+        graph = original(cls, caps)
+        calls.append(graph.order)
+        return graph
+
+    monkeypatch.setattr(chroma.SimpleGraph, "from_intervals", classmethod(counting))
+    underlying_graph(build(IncidencePolynomial(1, 0, 0), 30))
+    realize(BraidedString((7, 5), (3,)))
+    chroma.SimpleGraph.complete(5)
+    assert calls == [30, 9, 5]

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import deque
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -24,14 +25,14 @@ from jacograph import (
     underlying_graph,
 )
 from jacograph.chroma import _prefix_reports, _report
-from jacograph.oracle import exhaustive_min_sum, partition_min_sum
+from jacograph.oracle import exhaustive_min_sum, from_edges, partition_min_sum
 from conftest import (
     grotzsch_graph,
+    mask_edges,
     non_decreasing_caps,
     polynomials,
     product_sum_range,
     small_graphs,
-    stripped,
 )
 
 X2 = IncidencePolynomial(1, 0, 0)
@@ -47,27 +48,17 @@ def test_chromatic_number_examples():
     assert chromatic_number(SimpleGraph.from_intervals(range(1, 7))) == 1
 
 
-def test_uncertified_graphs_are_refused():
-    graph = SimpleGraph.from_edges(5, [(1, 2)])
-    for colour in (chromatic_number, min_sum_colouring, chroma_report):
-        with pytest.raises(ValueError) as info:
-            colour(graph)
-        assert str(info.value) == (
-            "graph has no interval certificate; colour it with oracle.partition_min_sum"
-        )
-
-
 @given(non_decreasing_caps(max_order=10))
 @settings(max_examples=100, deadline=None)
 def test_chromatic_number_matches_exhaustive_partitions(caps):
     g = SimpleGraph.from_intervals(caps)
-    assert chromatic_number(g) == len(exhaustive_min_sum(g)[1])
+    assert chromatic_number(g) == len(exhaustive_min_sum(g.adjacency)[1])
 
 
 def test_certificate_agrees_with_generic_search():
     for n in range(1, 16):
         g = jaco_underlying(n)
-        assert chromatic_number(g) == partition_min_sum(stripped(g)).k
+        assert chromatic_number(g) == partition_min_sum(g.adjacency).k
 
 
 def test_min_sum_examples():
@@ -95,8 +86,8 @@ def test_min_sum_canonical_assignment():
 def test_greedy_matches_exact_on_reference_family():
     for n in range(1, 21):
         g = jaco_underlying(n)
-        # first-fit on the certified graph, the search on the stripped one
-        exact = partition_min_sum(stripped(g))
+        # first-fit on the caps, the search on the masks
+        exact = partition_min_sum(g.adjacency)
         greedy = min_sum_colouring(g)
         assert greedy.weights == exact.weights
         assert colour_sum(greedy) == colour_sum(exact)
@@ -193,22 +184,20 @@ def test_report_closed_forms_match_fraction_arithmetic(weights):
 
 
 def test_proper_colouring_validation():
-    path = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
+    path = SimpleGraph.from_intervals([2, 3, 3])
     ok = ProperColouring.from_assignment(path, (1, 2, 1))
     assert ok.weights == (2, 1)
     with pytest.raises(ValueError):
         ProperColouring.from_assignment(path, (1, 1, 2))
     with pytest.raises(ValueError):
         ProperColouring.from_assignment(path, (1, 3, 1))  # colour 2 unused
-    with pytest.raises(ValueError):
-        SimpleGraph.from_edges(3, [(1, 1)])
 
 
 @pytest.mark.parametrize("make, least", [
-    pytest.param(lambda: SimpleGraph.from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)]),
+    pytest.param(lambda: from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)]),
                  177, id="9-cycle"),
-    pytest.param(lambda: stripped(jaco_underlying(16)), 669, id="stripped-x2-16"),
-    pytest.param(lambda: stripped(jaco_underlying(20)), 3364, id="stripped-x2-20"),
+    pytest.param(lambda: jaco_underlying(16).adjacency, 669, id="stripped-x2-16"),
+    pytest.param(lambda: jaco_underlying(20).adjacency, 3364, id="stripped-x2-20"),
     pytest.param(grotzsch_graph, 828, id="groetzsch"),
 ])
 def test_least_search_budgets_are_pinned(make, least):
@@ -238,7 +227,7 @@ def test_caps_are_the_clipped_reaches_cut_where_v_n_is_first_reached(p, n):
 @settings(max_examples=200, deadline=None)
 def test_certified_colourings_match_the_searches(caps):
     g = SimpleGraph.from_intervals(caps)
-    assert min_sum_colouring(g) == partition_min_sum(stripped(g))
+    assert min_sum_colouring(g) == partition_min_sum(g.adjacency)
 
 
 def alpha_greedy(caps, j):
@@ -288,7 +277,7 @@ def test_certified_graphs_past_the_search_spend_no_nodes():
 @settings(max_examples=120, deadline=None)
 def test_solver_matches_partition_oracle(g):
     colouring = min_sum_colouring(g)
-    expected_sum, expected_weights = exhaustive_min_sum(g)
+    expected_sum, expected_weights = exhaustive_min_sum(g.adjacency)
     assert colour_sum(colouring) == expected_sum
     assert colouring.weights == expected_weights
 
@@ -296,7 +285,7 @@ def test_solver_matches_partition_oracle(g):
 @given(non_decreasing_caps(max_order=6).map(SimpleGraph.from_intervals))
 @settings(max_examples=60, deadline=None)
 def test_solver_matches_literal_product_enumeration(g):
-    chi, min_sum, max_sum, weights = product_sum_range(g)
+    chi, min_sum, max_sum, weights = product_sum_range(g.adjacency)
     report = chroma_report(g)
     assert report.chi == chi
     assert report.chi_minus == min_sum
@@ -351,13 +340,32 @@ def test_from_intervals_matches_per_edge_reference(caps):
             masks[u - 1] |= 1 << (v - 1)
             masks[v - 1] |= 1 << (u - 1)
     g = SimpleGraph.from_intervals(caps)
-    # the certified count reads the caps; the stripped copy counts mask bits
-    assert g.edge_count() == stripped(g).edge_count()
     assert g.adjacency == tuple(masks)
     assert g.interval_caps == tuple(caps)
-    edges = [(u, v) for u, cap in enumerate(caps, start=1) for v in range(u + 1, cap + 1)]
-    assert stripped(g) == SimpleGraph.from_edges(order, edges)
-    assert hash(stripped(g)) == hash(SimpleGraph.from_edges(order, edges))
+    # every query reads the caps; the literal masks answer them bit by bit
+    for u in range(1, order + 1):
+        row = [v for v in range(1, order + 1) if masks[u - 1] >> (v - 1) & 1]
+        assert g.neighbours(u) == tuple(row)
+        assert g.degree(u) == len(row)
+        assert [v for v in range(1, order + 1) if g.has_edge(u, v)] == row
+    edges = mask_edges(masks)
+    assert list(g.edges()) == edges
+    assert g.edge_count() == len(edges) == sum(m.bit_count() for m in masks) // 2
+    assert from_edges(order, edges) == tuple(masks)
+
+
+def test_queries_build_no_masks():
+    # building the masks of x^2 at n = 20,000 takes about 54 MB
+    g = jaco_underlying(20_000)
+    tracemalloc.start()
+    try:
+        assert g.has_edge(1, 2)
+        assert g.degree(10_000) == len(g.neighbours(10_000))
+        assert next(iter(g.edges())) == (1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_certified_report_builds_no_masks():
@@ -372,8 +380,8 @@ def test_certified_report_builds_no_masks():
 
 
 def test_repr_reads_no_masks():
-    # the masks of x^2 at n = 20,000 hold about 54 MB, and a mask of
-    # 20,000 bits has more digits than str() of an int allows
+    # repr prints the one field, the caps, and never builds the masks,
+    # which for x^2 at n = 20,000 hold about 54 MB
     certified = jaco_underlying(20_000)
     tracemalloc.start()
     try:
@@ -382,10 +390,7 @@ def test_repr_reads_no_masks():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
-    assert text.startswith("SimpleGraph(order=20000, ")
-    assert repr(SimpleGraph.from_edges(20_000, [(1, 20_000)])).startswith(
-        "SimpleGraph(order=20000, "
-    )
+    assert text.startswith("SimpleGraph(interval_caps=(2, 5, 11, ")
 
 
 def test_certified_equality_builds_no_masks():
@@ -399,12 +404,8 @@ def test_certified_equality_builds_no_masks():
         tracemalloc.stop()
     assert peak < 10 * 2**20
     small = jaco_underlying(30)
-    assert small != stripped(small)
-    assert stripped(small) == stripped(jaco_underlying(30))
-    assert hash(stripped(small)) == hash(stripped(jaco_underlying(30)))
-    other = jaco_underlying(30, IncidencePolynomial(1, 0, 1))
-    assert small != other
-    assert stripped(small) != stripped(other)
+    assert small == jaco_underlying(30)
+    assert small != jaco_underlying(30, IncidencePolynomial(1, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -420,9 +421,19 @@ def test_certified_equality_builds_no_masks():
     ],
 )
 def test_from_intervals_error_messages(caps, message):
-    with pytest.raises(ValueError) as info:
-        SimpleGraph.from_intervals(caps)
-    assert str(info.value) == message
+    # the constructor itself checks the caps, so neither entry point
+    # makes a graph that contradicts its certificate
+    for make in (SimpleGraph.from_intervals, lambda caps: SimpleGraph(tuple(caps))):
+        with pytest.raises(ValueError) as info:
+            make(caps)
+        assert str(info.value) == message
+
+
+def test_a_graph_is_its_caps():
+    g = SimpleGraph((2, 3, 3))
+    assert [f.name for f in fields(g)] == ["interval_caps"]
+    assert g.order == 3
+    assert g == SimpleGraph.from_intervals([2, 3, 3])
 
 
 @given(non_decreasing_caps())

@@ -5,7 +5,6 @@ from jacograph import (
     BraidedString,
     IncidencePolynomial,
     OrderTooLargeError,
-    ProperColouring,
     SearchBudgetExceededError,
     SimpleGraph,
     arcs,
@@ -19,10 +18,11 @@ from jacograph import oracle
 from jacograph.oracle import (
     arcs_by_definition,
     exhaustive_min_sum,
+    from_edges,
     partition_min_sum,
     sweep_smallest_max_degree,
 )
-from conftest import grotzsch_graph, product_sum_range, small_graphs, stripped
+from conftest import grotzsch_graph, is_proper, product_sum_range, small_graphs
 
 X2 = IncidencePolynomial(1, 0, 0)
 
@@ -47,24 +47,36 @@ def test_arcs_by_definition_order_cap():
         arcs_by_definition(X2, 10_001)
 
 
+def test_from_edges_masks_and_refusals():
+    assert from_edges(3, [(1, 2), (2, 3)]) == (0b010, 0b101, 0b010)
+    assert from_edges(1, []) == (0,)
+    for order, edges, message in (
+        (3, [(1, 1)], "loop at vertex 1 not allowed"),
+        (3, [(1, 4)], "edge (1, 4) outside 1..3"),
+        (3, [(0, 2)], "edge (0, 2) outside 1..3"),
+        (0, [], "order must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            from_edges(order, edges)
+        assert str(info.value) == message
+
+
 def test_exhaustive_min_sum_path():
-    path = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
+    path = from_edges(3, [(1, 2), (2, 3)])
     assert exhaustive_min_sum(path) == (4, (2, 1))
 
 
 def test_exhaustive_min_sum_complete():
-    assert exhaustive_min_sum(SimpleGraph.complete(4))[0] == 10
+    assert exhaustive_min_sum(SimpleGraph.complete(4).adjacency)[0] == 10
 
 
 def test_exhaustive_min_sum_reference_graph():
-    from jacograph import underlying_graph
-
-    assert exhaustive_min_sum(underlying_graph(build(X2, 6))) == (13, (2, 2, 1, 1))
+    assert exhaustive_min_sum(underlying_graph(build(X2, 6)).adjacency) == (13, (2, 2, 1, 1))
 
 
 def test_exhaustive_min_sum_order_cap():
     with pytest.raises(OrderTooLargeError):
-        exhaustive_min_sum(SimpleGraph.from_edges(13, []))
+        exhaustive_min_sum(from_edges(13, []))
 
 
 @given(small_graphs(max_order=6))
@@ -79,10 +91,9 @@ def test_partition_oracle_matches_literal_product_enumeration(g):
 
 
 def test_partition_min_sum_generic_path():
-    cycle5 = SimpleGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
-    assert cycle5.interval_caps is None
+    cycle5 = from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
     assert partition_min_sum(cycle5).k == 3
-    cycle6 = SimpleGraph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+    cycle6 = from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
     assert partition_min_sum(cycle6).k == 2
 
 
@@ -90,10 +101,10 @@ def test_grotzsch_graph_needs_four_colours():
     # triangle-free (clique bound 2) with chi = 4, so the search must
     # reject k = 2 and k = 3 before it finds a partition
     grotzsch = grotzsch_graph()
-    assert grotzsch.edge_count() == 20
+    assert sum(mask.bit_count() for mask in grotzsch) == 2 * 20
     colouring = partition_min_sum(grotzsch)
     assert colouring.k == 4
-    assert ProperColouring.from_assignment(grotzsch, colouring.assignment) == colouring
+    assert is_proper(grotzsch, colouring)
     assert (colour_sum(colouring), colouring.weights) == exhaustive_min_sum(grotzsch)
 
 
@@ -101,7 +112,7 @@ def test_grotzsch_graph_needs_four_colours():
 @settings(max_examples=120, deadline=None)
 def test_partition_min_sum_matches_exhaustive_partitions(g):
     colouring = partition_min_sum(g)
-    assert ProperColouring.from_assignment(g, colouring.assignment) == colouring
+    assert is_proper(g, colouring)
     assert (colour_sum(colouring), colouring.weights) == exhaustive_min_sum(g)
 
 
@@ -110,18 +121,18 @@ def test_partition_min_sum_matches_exhaustive_partitions(g):
 def test_partition_min_sum_weights_are_non_increasing(g):
     weights = partition_min_sum(g).weights
     assert all(weights[i] >= weights[i + 1] for i in range(len(weights) - 1))
-    assert sum(weights) == g.order
+    assert sum(weights) == len(g)
     assert all(w >= 1 for w in weights)
 
 
 def test_search_budget_raises():
     # odd cycle: a clique bound (2) below chi (3), so the search at k = 2
     # must actually run and hit the budget
-    cycle9 = SimpleGraph.from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)])
+    cycle9 = from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)])
     with pytest.raises(SearchBudgetExceededError) as info:
         partition_min_sum(cycle9, node_budget=2)
     assert str(info.value) == "exact search on 9 vertices with k = 2 spent its node budget of 2"
-    fifteen = stripped(underlying_graph(build(X2, 15)))
+    fifteen = underlying_graph(build(X2, 15)).adjacency
     with pytest.raises(SearchBudgetExceededError) as info:
         partition_min_sum(fifteen, node_budget=3)
     assert str(info.value) == "exact search on 15 vertices with k = 12 spent its node budget of 3"
@@ -133,10 +144,7 @@ def test_deep_braid_search_ends_in_budget_error():
     braid = realize(BraidedString((600, 600), (1,)))
     with pytest.raises(SearchBudgetExceededError,
                        match="^partition search on 1199 vertices exceeds the recursion limit$"):
-        partition_min_sum(stripped(braid))
-    # the certificate is never read: the certified braid is searched alike
-    with pytest.raises(SearchBudgetExceededError, match="exceeds the recursion limit"):
-        partition_min_sum(braid)
+        partition_min_sum(braid.adjacency)
     assert min_sum_colouring(braid).k == 600
 
 
