@@ -54,10 +54,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, chain, count, cycle, islice, repeat
 from operator import sub
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
 from .errors import (
@@ -138,20 +137,8 @@ class JacoGraph:
         self._check_index(i)
         return VertexRecord(i, self.in_degrees[i - 1], self.reaches[i - 1])
 
-    @cached_property
-    def records(self) -> tuple[VertexRecord, ...]:
-        return tuple(_records(1, self.in_degrees, self.reaches))
-
     def arc_count(self) -> int:
         return sum(self.in_degrees)  # each arc once, at its head
-
-
-def _records(
-    lo: int, in_degrees: Iterable[int], reaches: Iterable[int]
-) -> Iterator[VertexRecord]:
-    """The records of v_lo, v_lo+1, ... from their in-degrees and reaches."""
-    # tuple.__new__ skips the NamedTuple constructor's argument handling
-    return map(tuple.__new__, repeat(VertexRecord), zip(count(lo), in_degrees, reaches))
 
 
 def _blocks(
@@ -266,7 +253,8 @@ def root_stream(p: IncidencePolynomial) -> Iterator[VertexRecord]:
     lo = 1
     # a built graph has f(n) + n inside 64 bits, so its order is at most last
     for d, r in _blocks(p, last + 1, _STREAM_BLOCK, _LIVE.get(p)):
-        yield from _records(lo, d, r)
+        # tuple.__new__ skips the NamedTuple constructor's argument handling
+        yield from map(tuple.__new__, repeat(VertexRecord), zip(count(lo), d, r))
         lo += len(d)
     raise ArithmeticOverflowError(f"f({lo}) + {lo} exceeds the 64-bit range")
 

@@ -42,9 +42,11 @@ above.  Min-sum colouring is NP-hard on interval graphs in general (Marx
 
 Every graph here is certified: a :class:`SimpleGraph` is its caps, checked
 when it is made, and :func:`chromatic_number`, :func:`min_sum_colouring`
-and :func:`chroma_report` read them.  The exact search for any other
-graph is ``oracle.partition_min_sum``, which takes plain adjacency masks
-and is practical up to roughly 25 vertices.
+and :func:`chroma_report` read them.  No graph holds a second copy of
+itself.  The exact search for any other graph is
+``oracle.partition_min_sum``, which is practical up to roughly 25 vertices
+and takes neighbour masks that ``oracle.from_edges`` makes from an edge
+list, never from the caps.
 
 First-fit colours every prefix of a certified graph as it colours the
 whole.  The prefix 1..k has caps min(cap(u), k), and for v <= k,
@@ -60,13 +62,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
 from operator import ge, le, mul, sub
 from typing import Iterable, Iterator
 
 from .builder import JacoGraph
+from .errors import VertexIndexError
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,8 @@ class SimpleGraph:
     non-decreasing, ``interval_caps[u - 1]`` lies in u..order, and u ~ v
     for u < v exactly when v <= interval_caps[u - 1].  The constructor
     checks both conditions, so every graph carries its certificate, and
-    every query reads the caps.  Only ``adjacency`` builds bitmasks, for
-    the oracle, once on first read.
+    every query reads the caps.  A query about a vertex outside 1..order
+    raises :class:`VertexIndexError`.
     """
 
     interval_caps: tuple[int, ...]
@@ -100,18 +102,6 @@ class SimpleGraph:
     def order(self) -> int:
         return len(self.interval_caps)
 
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """``adjacency[v - 1]`` is a bitmask with bit (u - 1) set when u ~ v:
-        v's closed neighbourhood is lo..cap(v), where lo, the first vertex
-        whose cap reaches v, only grows."""
-        caps, masks, lo = self.interval_caps, [], 1
-        for v, cap in enumerate(caps, start=1):
-            while caps[lo - 1] < v:
-                lo += 1
-            masks.append((1 << cap) - (1 << (lo - 1)) - (1 << (v - 1)))
-        return tuple(masks)
-
     @classmethod
     def from_intervals(cls, caps: Iterable[int]) -> "SimpleGraph":
         """Build the proper interval graph where u ~ v (u < v) iff v <= caps[u-1]."""
@@ -121,11 +111,18 @@ class SimpleGraph:
     def complete(cls, n: int) -> "SimpleGraph":
         return cls.from_intervals([n] * n)
 
+    def _check_index(self, *vertices: int) -> None:
+        for v in vertices:
+            if not 1 <= v <= self.order:
+                raise VertexIndexError(f"vertex index {v} outside 1..{self.order}")
+
     def _lo(self, v: int) -> int:
-        """The first vertex whose cap reaches v."""
+        """The first vertex whose cap reaches v, for v in 1..order."""
+        self._check_index(v)
         return bisect_left(self.interval_caps, v) + 1
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_index(u, v)
         u, v = sorted((u, v))
         return u < v <= self.interval_caps[u - 1]
 
@@ -133,7 +130,8 @@ class SimpleGraph:
         return (*range(self._lo(v), v), *range(v + 1, self.interval_caps[v - 1] + 1))
 
     def degree(self, v: int) -> int:
-        return self.interval_caps[v - 1] - self._lo(v)
+        lo = self._lo(v)  # checks v before the caps are indexed
+        return self.interval_caps[v - 1] - lo
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, cap in enumerate(self.interval_caps, start=1):

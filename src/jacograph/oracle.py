@@ -2,11 +2,13 @@
 
 Nothing here shares algorithmic code with the fast paths: arc sets are
 rebuilt pair by pair from the defining inequality, and colouring optima
-come from two searches that take a graph as a plain tuple of adjacency
+come from two searches that take a graph as a plain tuple of neighbour
 masks (bit u - 1 of ``adj[v - 1]`` is set when u ~ v), so they never see
-the interval structure that first-fit relies on.  A certified graph
-``g`` is searched as ``g.adjacency``; :func:`from_edges` gives the masks
-of any other graph.
+the interval structure that first-fit relies on.  :func:`from_edges` is
+the one maker of those masks.  An underlying Jaco graph is searched as
+``from_edges(n, arcs_by_definition(p, n))``, the graph the definition
+gives rather than the certificate the fast path reads; any other graph as
+``from_edges(g.order, g.edges())``.
 
 - Unpruned enumeration (:func:`exhaustive_min_sum`) takes any graph up to
   order 12; it checks the first-fit colourings of underlying Jaco graphs.
@@ -63,7 +65,7 @@ def arcs_by_definition(p: IncidencePolynomial, n: int) -> list[tuple[int, int]]:
 
 
 def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The adjacency masks of a graph on 1..order given by its edges:
+    """The neighbour masks of a graph on 1..order given by its edges:
     bit (u - 1) of ``masks[v - 1]`` is set when u ~ v."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -122,7 +124,7 @@ def _chi_by_enumeration(adj: tuple[int, ...]) -> int:
 
 def exhaustive_min_sum(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum chromatic sum and its canonical weight vector of
-    the graph with adjacency masks ``adj``.
+    the graph with neighbour masks ``adj``.
 
     The chromatic number is found by enumeration from k = 1 upward, then
     every partition into exactly chi classes is enumerated without any
@@ -250,7 +252,7 @@ def partition_min_sum(
     adj: tuple[int, ...], node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> ProperColouring:
     """Exact minimum-sum proper colouring with exactly chi(G) colours, by the
-    partition search over the adjacency masks ``adj``, for any graph.
+    partition search over the neighbour masks ``adj``, for any graph.
 
     k counts up from a greedy clique bound (n singleton classes always
     fit), and the first k whose search finds a colouring is chi: below chi

@@ -332,14 +332,17 @@ def prop_hope_complete(cfg: VerifyConfig, res: PropertyResult) -> None:
 
 def prop_locator(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.quadratic_polys():
+        # the sweep refuses an unreachable target before the locator builds
+        # its f(f(1)) + 1 vertices
+        f1 = evaluate(p, 1)
+        target = evaluate(p, f1)
+        swept = oracle.sweep_smallest_max_degree(p, target)
         k, prime, delta = smallest_with_max_degree(p)
-        swept = oracle.sweep_smallest_max_degree(p, delta)
         res.check(
             k == swept,
             f"{format_polynomial(p)}: locator gives {k} but the sweep found {swept}",
         )
-        f1 = evaluate(p, 1)
-        superseded = evaluate(p, f1) - f1 + 1
+        superseded = target - f1 + 1
         if superseded != k:
             res.notes.append(
                 f"{format_polynomial(p)}: k = f(f(1))+1 = {k} (prime v{prime}, degree {delta});"
@@ -386,13 +389,10 @@ def prop_oracle_colouring(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.oracle_polys():
         for n in range(1, cfg.colouring_n_max + 1):
             g = build(p, n)
-            res.check(
-                arcs(g) == oracle.arcs_by_definition(p, n),
-                f"{format_polynomial(p)}, n={n}: arc sets disagree",
-            )
-            underlying = chroma.underlying_graph(g)
-            colouring = chroma.min_sum_colouring(underlying)
-            exp_sum, exp_weights = oracle.exhaustive_min_sum(underlying.adjacency)
+            literal = oracle.arcs_by_definition(p, n)
+            res.check(arcs(g) == literal, f"{format_polynomial(p)}, n={n}: arc sets disagree")
+            colouring = chroma.min_sum_colouring(chroma.underlying_graph(g))
+            exp_sum, exp_weights = oracle.exhaustive_min_sum(oracle.from_edges(n, literal))
             res.check(
                 chroma.colour_sum(colouring) == exp_sum
                 and colouring.weights == exp_weights,
@@ -437,13 +437,14 @@ def prop_reversal_identity(cfg: VerifyConfig, res: PropertyResult) -> None:
 def prop_greedy_agreement(cfg: VerifyConfig, res: PropertyResult) -> None:
     """The first-fit colouring of the certified graph matches the exact
     optimum on the reference quadratic family.  The exact side is the
-    oracle's partition search on the graph's adjacency masks, which never
-    reads the caps, so the two sides share no code.  A divergence is reported
-    as a failure so it cannot pass silently."""
+    oracle's partition search on the masks of the definitional arcs, so it
+    reads neither the builder nor the caps, and the two sides share no code.
+    A divergence is reported as a failure so it cannot pass silently."""
     for i in range(1, 21):
-        g = chroma.underlying_graph(build(X_SQUARED, i))
-        exact = oracle.partition_min_sum(g.adjacency)
-        greedy = chroma.min_sum_colouring(g)
+        exact = oracle.partition_min_sum(
+            oracle.from_edges(i, oracle.arcs_by_definition(X_SQUARED, i))
+        )
+        greedy = chroma.min_sum_colouring(chroma.underlying_graph(build(X_SQUARED, i)))
         res.check(
             greedy.weights == exact.weights
             and chroma.colour_sum(greedy) == chroma.colour_sum(exact),

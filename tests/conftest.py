@@ -45,6 +45,12 @@ def grotzsch_graph():
     return from_edges(11, edges)
 
 
+def graph_masks(g):
+    """The adjacency masks of a ``SimpleGraph``, made by the oracle's one
+    mask maker from its edge list."""
+    return from_edges(g.order, g.edges())
+
+
 def mask_edges(adj):
     """Every edge (u, v), u < v, of the graph with adjacency masks ``adj``,
     read pair by pair."""

@@ -45,6 +45,7 @@ from jacograph.cli import main
 from jacograph.oracle import (
     arcs_by_definition,
     exhaustive_min_sum,
+    from_edges,
     sweep_smallest_max_degree,
 )
 from jacograph.verify import ORACLE_POLYS, QUADRATIC_GRID, VerifyConfig, run as run_verify
@@ -199,7 +200,7 @@ def test_criterion_3_table3_reproduction():
             break
     # the corrected row-10 variance is corroborated by the independent
     # exhaustive oracle: its weights pin the second moment
-    _, oracle_weights = exhaustive_min_sum(underlying_graph(build(X2, 10)).adjacency)
+    _, oracle_weights = exhaustive_min_sum(from_edges(10, arcs_by_definition(X2, 10)))
     mean = Fraction(sum(i * w for i, w in enumerate(oracle_weights, start=1)), 10)
     second = Fraction(sum(i * i * w for i, w in enumerate(oracle_weights, start=1)), 10)
     if second - mean * mean != Fraction(569, 100):
@@ -250,11 +251,11 @@ def test_criterion_6_oracle_equivalence():
     for p in ORACLE_POLYS:
         for n in range(1, 13):
             g = build(p, n)
-            if arcs(g) != arcs_by_definition(p, n):
+            literal = arcs_by_definition(p, n)
+            if arcs(g) != literal:
                 mismatches += 1
-            underlying = underlying_graph(g)
-            colouring = min_sum_colouring(underlying)
-            oracle_sum, oracle_weights = exhaustive_min_sum(underlying.adjacency)
+            colouring = min_sum_colouring(underlying_graph(g))
+            oracle_sum, oracle_weights = exhaustive_min_sum(from_edges(n, literal))
             if colour_sum(colouring) != oracle_sum or colouring.weights != oracle_weights:
                 mismatches += 1
     report(6, "oracle-equivalence", mismatches == 0, f"{mismatches} mismatches")

@@ -12,6 +12,7 @@ from jacograph import (
     ProperColouring,
     SearchBudgetExceededError,
     SimpleGraph,
+    VertexIndexError,
     build,
     chroma_report,
     chromatic_number,
@@ -25,8 +26,9 @@ from jacograph import (
     underlying_graph,
 )
 from jacograph.chroma import _prefix_reports, _report
-from jacograph.oracle import exhaustive_min_sum, from_edges, partition_min_sum
+from jacograph.oracle import arcs_by_definition, exhaustive_min_sum, from_edges, partition_min_sum
 from conftest import (
+    graph_masks,
     grotzsch_graph,
     mask_edges,
     non_decreasing_caps,
@@ -42,6 +44,12 @@ def jaco_underlying(n, p=X2):
     return underlying_graph(build(p, n))
 
 
+def definitional_masks(n, p=X2):
+    """The oracle's masks of the order-n Jaco graph, made from its
+    definitional arcs, so they read neither the builder nor the caps."""
+    return from_edges(n, arcs_by_definition(p, n))
+
+
 def test_chromatic_number_examples():
     assert chromatic_number(SimpleGraph.complete(5)) == 5
     assert chromatic_number(jaco_underlying(9)) == 7
@@ -52,13 +60,12 @@ def test_chromatic_number_examples():
 @settings(max_examples=100, deadline=None)
 def test_chromatic_number_matches_exhaustive_partitions(caps):
     g = SimpleGraph.from_intervals(caps)
-    assert chromatic_number(g) == len(exhaustive_min_sum(g.adjacency)[1])
+    assert chromatic_number(g) == len(exhaustive_min_sum(graph_masks(g))[1])
 
 
 def test_certificate_agrees_with_generic_search():
     for n in range(1, 16):
-        g = jaco_underlying(n)
-        assert chromatic_number(g) == partition_min_sum(g.adjacency).k
+        assert chromatic_number(jaco_underlying(n)) == partition_min_sum(definitional_masks(n)).k
 
 
 def test_min_sum_examples():
@@ -85,10 +92,9 @@ def test_min_sum_canonical_assignment():
 
 def test_greedy_matches_exact_on_reference_family():
     for n in range(1, 21):
-        g = jaco_underlying(n)
-        # first-fit on the caps, the search on the masks
-        exact = partition_min_sum(g.adjacency)
-        greedy = min_sum_colouring(g)
+        # first-fit on the caps, the search on the definitional arcs
+        exact = partition_min_sum(definitional_masks(n))
+        greedy = min_sum_colouring(jaco_underlying(n))
         assert greedy.weights == exact.weights
         assert colour_sum(greedy) == colour_sum(exact)
 
@@ -196,8 +202,8 @@ def test_proper_colouring_validation():
 @pytest.mark.parametrize("make, least", [
     pytest.param(lambda: from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)]),
                  177, id="9-cycle"),
-    pytest.param(lambda: jaco_underlying(16).adjacency, 669, id="stripped-x2-16"),
-    pytest.param(lambda: jaco_underlying(20).adjacency, 3364, id="stripped-x2-20"),
+    pytest.param(lambda: definitional_masks(16), 669, id="stripped-x2-16"),
+    pytest.param(lambda: definitional_masks(20), 3364, id="stripped-x2-20"),
     pytest.param(grotzsch_graph, 828, id="groetzsch"),
 ])
 def test_least_search_budgets_are_pinned(make, least):
@@ -227,7 +233,7 @@ def test_caps_are_the_clipped_reaches_cut_where_v_n_is_first_reached(p, n):
 @settings(max_examples=200, deadline=None)
 def test_certified_colourings_match_the_searches(caps):
     g = SimpleGraph.from_intervals(caps)
-    assert min_sum_colouring(g) == partition_min_sum(g.adjacency)
+    assert min_sum_colouring(g) == partition_min_sum(graph_masks(g))
 
 
 def alpha_greedy(caps, j):
@@ -277,7 +283,7 @@ def test_certified_graphs_past_the_search_spend_no_nodes():
 @settings(max_examples=120, deadline=None)
 def test_solver_matches_partition_oracle(g):
     colouring = min_sum_colouring(g)
-    expected_sum, expected_weights = exhaustive_min_sum(g.adjacency)
+    expected_sum, expected_weights = exhaustive_min_sum(graph_masks(g))
     assert colour_sum(colouring) == expected_sum
     assert colouring.weights == expected_weights
 
@@ -285,7 +291,7 @@ def test_solver_matches_partition_oracle(g):
 @given(non_decreasing_caps(max_order=6).map(SimpleGraph.from_intervals))
 @settings(max_examples=60, deadline=None)
 def test_solver_matches_literal_product_enumeration(g):
-    chi, min_sum, max_sum, weights = product_sum_range(g.adjacency)
+    chi, min_sum, max_sum, weights = product_sum_range(graph_masks(g))
     report = chroma_report(g)
     assert report.chi == chi
     assert report.chi_minus == min_sum
@@ -340,7 +346,6 @@ def test_from_intervals_matches_per_edge_reference(caps):
             masks[u - 1] |= 1 << (v - 1)
             masks[v - 1] |= 1 << (u - 1)
     g = SimpleGraph.from_intervals(caps)
-    assert g.adjacency == tuple(masks)
     assert g.interval_caps == tuple(caps)
     # every query reads the caps; the literal masks answer them bit by bit
     for u in range(1, order + 1):
@@ -355,7 +360,8 @@ def test_from_intervals_matches_per_edge_reference(caps):
 
 
 def test_queries_build_no_masks():
-    # building the masks of x^2 at n = 20,000 takes about 54 MB
+    # every query reads the caps; the adjacency masks of x^2 at n = 20,000,
+    # as oracle.from_edges makes them, would hold about 54 MB
     g = jaco_underlying(20_000)
     tracemalloc.start()
     try:
@@ -369,7 +375,8 @@ def test_queries_build_no_masks():
 
 
 def test_certified_report_builds_no_masks():
-    # the masks of x^2 at n = 20,000 alone would hold about 54 MB
+    # first-fit reads the caps; the adjacency masks of x^2 at n = 20,000
+    # alone would hold about 54 MB
     tracemalloc.start()
     try:
         chroma_report(jaco_underlying(20_000))
@@ -380,8 +387,8 @@ def test_certified_report_builds_no_masks():
 
 
 def test_repr_reads_no_masks():
-    # repr prints the one field, the caps, and never builds the masks,
-    # which for x^2 at n = 20,000 hold about 54 MB
+    # repr prints the one field, the caps; the adjacency masks of x^2 at
+    # n = 20,000 would hold about 54 MB
     certified = jaco_underlying(20_000)
     tracemalloc.start()
     try:
@@ -434,6 +441,21 @@ def test_a_graph_is_its_caps():
     assert [f.name for f in fields(g)] == ["interval_caps"]
     assert g.order == 3
     assert g == SimpleGraph.from_intervals([2, 3, 3])
+
+
+@pytest.mark.parametrize("query, args, vertex", [
+    pytest.param(query, args, vertex, id=f"{query}{args}".replace(",)", ")"))
+    for query, args, vertex in [
+        ("has_edge", (0, 3), 0), ("has_edge", (3, 0), 0), ("has_edge", (2, 6), 6),
+        ("has_edge", (6, 7), 6), ("neighbours", (0,), 0), ("neighbours", (6,), 6),
+        ("degree", (-2,), -2), ("degree", (6,), 6),
+    ]
+])
+def test_queries_refuse_a_vertex_outside_the_graph(query, args, vertex):
+    # the caps tuple would wrap a vertex below 1 round to its end
+    with pytest.raises(VertexIndexError) as info:
+        getattr(SimpleGraph.complete(5), query)(*args)
+    assert str(info.value) == f"vertex index {vertex} outside 1..5"
 
 
 @given(non_decreasing_caps())

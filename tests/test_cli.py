@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jacograph import (
-    IncidencePolynomial, SimpleGraph, build, builder, cli, invariants, mu_min_two_block, verify,
+    IncidencePolynomial, SimpleGraph, build, builder, chroma, cli, invariants, mu_min_two_block,
+    verify,
 )
 from jacograph.cli import main
 
@@ -409,6 +411,37 @@ def test_verify_refuses_an_unreachable_locator_target(capsys):
     code, out, err = run(capsys, "verify", "--f", "100*x^2", "--prop",
                          "smallest-max-degree-locator")
     assert (code, out, err) == (3, "", "error: target degree 1000000 not reached by order 20000\n")
+
+
+@pytest.mark.parametrize("f, target", [
+    # the locator would build 27,000,001 vertices, about 2.5 GB
+    ("300*x^2", 27_000_000),
+    # the locator's build of 10^9 + 1 vertices would leave the 64-bit range
+    ("1000*x^2", 1_000_000_000),
+])
+def test_verify_refuses_an_unreachable_locator_target_before_the_locator_builds(
+    capsys, monkeypatch, f, target
+):
+    def refuse(p):
+        raise AssertionError("the locator ran before the sweep refused its target")
+
+    monkeypatch.setattr(verify, "smallest_with_max_degree", refuse)
+    code, out, err = run(capsys, "verify", "--f", f, "--prop", "smallest-max-degree-locator")
+    assert (code, out, err) == (3, "", f"error: target degree {target} not reached by order 20000\n")
+
+
+def test_oracle_laws_colour_the_defined_graph_not_the_certificate(monkeypatch):
+    # reach(1) one too low lowers cap(1) wherever v_1 does not reach v_n,
+    # which drops the edge (1, cap(1)); both oracles colour the masks of the
+    # definitional arcs, so both laws see the wrong graph
+    literal = chroma.underlying_graph
+    monkeypatch.setattr(chroma, "underlying_graph", lambda g: literal(
+        dataclasses.replace(g, reaches=(g.reaches[0] - 1,) + g.reaches[1:])))
+    results = verify.run(only=("oracle-colouring", "greedy-agreement"))
+    assert [res.failures[0] for res in results] == [
+        "x^2, n=6: solver gives 12 (3, 1, 1, 1), oracle 13 (2, 2, 1, 1)",
+        "x^2, n=6: greedy gives (3, 1, 1, 1), exact optimum (2, 2, 1, 1)",
+    ]
 
 
 @pytest.mark.parametrize("argv", [

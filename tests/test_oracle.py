@@ -12,7 +12,6 @@ from jacograph import (
     colour_sum,
     min_sum_colouring,
     realize,
-    underlying_graph,
 )
 from jacograph import oracle
 from jacograph.oracle import (
@@ -22,7 +21,7 @@ from jacograph.oracle import (
     partition_min_sum,
     sweep_smallest_max_degree,
 )
-from conftest import grotzsch_graph, is_proper, product_sum_range, small_graphs
+from conftest import graph_masks, grotzsch_graph, is_proper, product_sum_range, small_graphs
 
 X2 = IncidencePolynomial(1, 0, 0)
 
@@ -67,11 +66,11 @@ def test_exhaustive_min_sum_path():
 
 
 def test_exhaustive_min_sum_complete():
-    assert exhaustive_min_sum(SimpleGraph.complete(4).adjacency)[0] == 10
+    assert exhaustive_min_sum(graph_masks(SimpleGraph.complete(4)))[0] == 10
 
 
 def test_exhaustive_min_sum_reference_graph():
-    assert exhaustive_min_sum(underlying_graph(build(X2, 6)).adjacency) == (13, (2, 2, 1, 1))
+    assert exhaustive_min_sum(from_edges(6, arcs_by_definition(X2, 6))) == (13, (2, 2, 1, 1))
 
 
 def test_exhaustive_min_sum_order_cap():
@@ -132,7 +131,7 @@ def test_search_budget_raises():
     with pytest.raises(SearchBudgetExceededError) as info:
         partition_min_sum(cycle9, node_budget=2)
     assert str(info.value) == "exact search on 9 vertices with k = 2 spent its node budget of 2"
-    fifteen = underlying_graph(build(X2, 15)).adjacency
+    fifteen = from_edges(15, arcs_by_definition(X2, 15))
     with pytest.raises(SearchBudgetExceededError) as info:
         partition_min_sum(fifteen, node_budget=3)
     assert str(info.value) == "exact search on 15 vertices with k = 12 spent its node budget of 3"
@@ -144,7 +143,7 @@ def test_deep_braid_search_ends_in_budget_error():
     braid = realize(BraidedString((600, 600), (1,)))
     with pytest.raises(SearchBudgetExceededError,
                        match="^partition search on 1199 vertices exceeds the recursion limit$"):
-        partition_min_sum(braid.adjacency)
+        partition_min_sum(graph_masks(braid))
     assert min_sum_colouring(braid).k == 600
 
 
