@@ -20,7 +20,6 @@ from .braided import (
 )
 from .builder import (
     JacoGraph,
-    VertexRecord,
     arcs,
     build,
     out_degree_root,
@@ -96,7 +95,6 @@ __all__ = [
     "SimpleGraph",
     "UnreachableVertexError",
     "VertexIndexError",
-    "VertexRecord",
     "arcs",
     "build",
     "chroma_report",

@@ -47,16 +47,19 @@ yields v_1..v_n from that graph's tuples, then resumes the recurrence at
 v_{n+1} from indeg(n), reach(n) and the graph's reaches, which it keeps
 only while they can still mark a vertex.  Builds of at most 64 vertices
 are not recorded and take no extra step.  Only :func:`build` records a
-graph, so a graph made by hand is never read.
+graph, so a graph made by hand is never read.  Records are exact tuples
+``(index, in_degree, reach)``, not a ``NamedTuple``: CPython's collector
+untracks a tuple of ints but never a tuple subclass, so every held record
+of a subclass would be traversed again by each later full collection.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count, cycle, islice, repeat
+from itertools import accumulate, chain, count, cycle, islice
 from operator import sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 from weakref import WeakValueDictionary
 
 from .errors import (
@@ -81,19 +84,6 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # mark(i) -> 1 - mark(i)
 # graph in it is exact, so two threads racing in build can at worst leave
 # the shorter of their graphs recorded.
 _LIVE: WeakValueDictionary[IncidencePolynomial, JacoGraph] = WeakValueDictionary()
-
-
-class VertexRecord(NamedTuple):
-    """Per-vertex data: 1-based index, in-degree, and reach."""
-
-    index: int
-    in_degree: int
-    reach: int
-
-    @property
-    def out_degree(self) -> int:
-        """Out-degree in the infinite root graph: f(i) - indeg(i)."""
-        return self.reach - self.index
 
 
 @dataclass(frozen=True)
@@ -133,9 +123,10 @@ class JacoGraph:
         """Out-degree within this finite graph: min(reach(i), n) - i."""
         return self.capped_reach(i) - i
 
-    def record(self, i: int) -> VertexRecord:
+    def record(self, i: int) -> tuple[int, int, int]:
+        """The root stream's record of v_i: (i, in-degree, reach)."""
         self._check_index(i)
-        return VertexRecord(i, self.in_degrees[i - 1], self.reaches[i - 1])
+        return i, self.in_degrees[i - 1], self.reaches[i - 1]
 
     def arc_count(self) -> int:
         return sum(self.in_degrees)  # each arc once, at its head
@@ -227,8 +218,9 @@ def build(p: IncidencePolynomial, n: int) -> JacoGraph:
     return g
 
 
-def root_stream(p: IncidencePolynomial) -> Iterator[VertexRecord]:
-    """Yield the vertex records of the infinite root graph for i = 1, 2, ...
+def root_stream(p: IncidencePolynomial) -> Iterator[tuple[int, int, int]]:
+    """Yield the vertex records ``(index, in_degree, reach)`` of the
+    infinite root graph for i = 1, 2, ...
 
     When the stream starts (at its first record), it looks for the longest
     live graph that :func:`build` returned for ``p`` with more than 64
@@ -253,8 +245,7 @@ def root_stream(p: IncidencePolynomial) -> Iterator[VertexRecord]:
     lo = 1
     # a built graph has f(n) + n inside 64 bits, so its order is at most last
     for d, r in _blocks(p, last + 1, _STREAM_BLOCK, _LIVE.get(p)):
-        # tuple.__new__ skips the NamedTuple constructor's argument handling
-        yield from map(tuple.__new__, repeat(VertexRecord), zip(count(lo), d, r))
+        yield from zip(count(lo), d, r)
         lo += len(d)
     raise ArithmeticOverflowError(f"f({lo}) + {lo} exceeds the 64-bit range")
 

@@ -1,3 +1,4 @@
+import gc
 import weakref
 from collections import deque
 from itertools import islice
@@ -18,7 +19,6 @@ from jacograph import (
     root_stream,
 )
 from jacograph import builder
-from jacograph.builder import VertexRecord
 from jacograph.incidence import INT64_MAX
 from jacograph.oracle import arcs_by_definition
 from conftest import polynomials
@@ -62,7 +62,7 @@ def deque_stream(p):
         if fi > INT64_MAX - i:
             raise ArithmeticOverflowError(f"f({i}) + {i} exceeds the 64-bit range")
         r = i + fi - indeg
-        yield VertexRecord(i, indeg, r)
+        yield i, indeg, r
         window.append(r)
         fi += dfi
         dfi += ddf
@@ -88,15 +88,15 @@ def test_constant_incidence_gives_complete_blocks():
 
 
 def test_root_stream_first_records():
-    records = list(islice(root_stream(X2), 5))
-    assert [r.in_degree for r in records] == [0, 1, 1, 2, 3]
-    assert records[0].reach == 2
-    assert [r.index for r in records] == [1, 2, 3, 4, 5]
+    indices, in_degrees, reaches = zip(*islice(root_stream(X2), 5))
+    assert in_degrees == (0, 1, 1, 2, 3)
+    assert reaches[0] == 2
+    assert indices == (1, 2, 3, 4, 5)
 
 
 def test_root_stream_reach_with_offset():
     records = list(islice(root_stream(IncidencePolynomial(1, 0, 1)), 2))
-    assert records[1].reach == 6
+    assert records[1][2] == 6
 
 
 def test_out_degree_root_examples():
@@ -108,9 +108,10 @@ def test_out_degree_root_examples():
         out_degree_root(g, 7)
 
 
-def test_vertex_record_out_degree_property():
-    record = build(X2, 6).record(3)
-    assert record.out_degree == record.reach - record.index == 8
+def test_record_reach_gives_root_out_degree():
+    g = build(X2, 6)
+    index, _, reach = g.record(3)
+    assert out_degree_root(g, index) == reach - index == 8
 
 
 def test_arcs_examples():
@@ -217,10 +218,10 @@ def test_arcs_match_definitional_oracle(p, n):
 @settings(max_examples=60)
 def test_record_invariants(p, n):
     g = build(p, n)
-    for rec in map(g.record, range(1, g.n + 1)):
-        assert rec.reach >= rec.index
-        assert 0 <= rec.in_degree <= rec.index - 1 or rec.index == 1
-        assert rec.in_degree <= evaluate(p, rec.index)
+    for index, in_degree, reach in map(g.record, range(1, g.n + 1)):
+        assert reach >= index
+        assert 0 <= in_degree <= index - 1 or index == 1
+        assert in_degree <= evaluate(p, index)
 
 
 @given(polynomials(), st.integers(2, 120))
@@ -300,10 +301,26 @@ def test_stream_agrees_with_build(p, n):
         resumed = list(islice(root_stream(p), extra))
         builder._LIVE.clear()
         alone = list(islice(root_stream(p), extra))
-    for rec in alone[:n]:
-        assert rec.in_degree == g.in_degree(rec.index)
-        assert rec.reach == g.reach(rec.index)
+    for index, in_degree, reach in alone[:n]:
+        assert in_degree == g.in_degree(index)
+        assert reach == g.reach(index)
     assert resumed == alone
+
+
+def test_held_records_are_untracked():
+    # a tuple subclass is never untracked, so each later full collection
+    # would traverse every record its caller holds
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builder, "_LIVE", weakref.WeakValueDictionary())
+        g = build(X2, 5000)
+        assert builder._LIVE.get(X2) is g and g.n > builder._STEPPED
+        resumed = list(islice(root_stream(X2), 10_000))
+        builder._LIVE.clear()
+        alone = list(islice(root_stream(X2), 10_000))
+    built = list(map(g.record, range(1, g.n + 1)))
+    gc.collect()
+    for r in resumed + alone + built:
+        assert type(r) is tuple and not gc.is_tracked(r)
 
 
 @given(polynomials(), st.integers(1, 200))
