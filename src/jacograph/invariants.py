@@ -1,4 +1,5 @@
-"""Structural invariants of built Jaco graphs.
+"""Structural invariants of Jaco graphs, read off a build, or off f alone
+for the smallest-order locator.
 
 Everything here works on the interval-compressed form: the underlying
 (undirected) degree of v_i is indeg(i) + min(reach(i), n) - i.  Reaches
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .builder import JacoGraph, build
-from .errors import HopeNotCompleteError, JacoError, UnreachableVertexError
-from .incidence import IncidencePolynomial, evaluate
+from .errors import ArithmeticOverflowError, HopeNotCompleteError, UnreachableVertexError
+from .incidence import INT64_MAX, IncidencePolynomial, evaluate
 
 
 @dataclass(frozen=True)
@@ -172,28 +173,24 @@ def smallest_with_max_degree(p: IncidencePolynomial) -> tuple[int, int, int]:
     """Locate the smallest order k whose maximum degree reaches f(f(1)).
 
     Returns ``(k, prime_index, max_degree)`` with k = f(f(1)) + 1 and the
-    prime Jaconian vertex at index f(1).  The vertex v_{f(1)} enters the
-    construction with in-degree f(1) - 1, so its reach is f(f(1)) + 1 and
-    its degree saturates at f(f(1)) exactly when the graph reaches that
-    order.  Both the hit at k and the miss at k - 1 are verified on one
-    build, whose first k - 1 vertices are the order-(k - 1) graph; together
-    with degree monotonicity this makes k the smallest.
-    Requires quadratic incidence (a >= 1).
+    prime Jaconian vertex at index m = f(1), read off f with no build.  By
+    the identities above and :func:`completeness_threshold`, orders up to
+    m + 1 are complete, so indeg(m) = m - 1 and reach(m) = f(m) + 1 = k,
+    while (if m > 1) reach(m - 1) = f(m - 1) + 1 < k, as f strictly
+    increases; so h = m in the order-k graph.  There deg(v_m) = k - 1 = f(m)
+    and deg(v_{m-1}) = f(m - 1) < f(m), so Delta = f(m) and the Jaconian
+    run starts at lo = m.  Every order n < k has Delta <= n - 1 < f(m), so
+    k is the smallest.
+    Requires quadratic incidence (a >= 1); raises
+    :class:`ArithmeticOverflowError` when k leaves the 64-bit range.
     """
     if p.a < 1:
         raise ValueError("quadratic incidence required (a >= 1)")
     f1 = evaluate(p, 1)
     target = evaluate(p, f1)
     k = target + 1
-    g = build(p, k)
-    _, top, prime, _ = _read_off(k, g.in_degrees, g.reaches, p)
-    if top != target or prime != f1:
-        raise JacoError(
-            f"locator self-check failed at order {k}: max degree {top},"
-            f" prime {prime}, expected {target} at v{f1}"
-        )
-    if k > 1 and _read_off(k - 1, g.in_degrees, g.reaches, p)[1] >= target:
-        raise JacoError(f"locator self-check failed: order {k - 1} already attains {target}")
+    if k > INT64_MAX:
+        raise ArithmeticOverflowError(f"order f(f(1)) + 1 = {k} exceeds the 64-bit range")
     return k, f1, target
 
 
@@ -221,17 +218,6 @@ class ConstructionRow(NamedTuple):
     jaconian_set: tuple[int, ...]
     max_degree: int
     v1_distance: int | None
-
-
-def _prefixes(p: IncidencePolynomial, n: int) -> Iterator[JacoGraph]:
-    """Yield the order-k graph for k = 1..n, sliced from one build.
-
-    In-degrees and reaches do not depend on the order, so the order-k
-    graph is the first k of each.
-    """
-    full = build(p, n)
-    for k in range(1, n + 1):
-        yield JacoGraph(p, k, full.in_degrees[:k], full.reaches[:k])
 
 
 def construction_table(p: IncidencePolynomial, n: int) -> Iterator[ConstructionRow]:

@@ -10,7 +10,7 @@ Properties are named only in ``PROPERTIES``: ``run`` creates each
 :class:`PropertyResult` and passes it in, and a property records its
 checks and notes on it.  ``run`` skips, with a note, the laws stated for
 x^2 alone when x^2 is not selected.  Laws stated order by order read the
-order-k graphs as prefixes of one build.
+order-k graphs as prefixes of one build, sliced by ``_prefixes``.
 
 Seven of them read one small record per order k, made once per polynomial
 in a ``run`` from the literal underlying degrees of the order-k graph: k
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import pairwise
 from operator import gt, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import braided, chroma, oracle
 from .builder import JacoGraph, arcs, build
@@ -43,7 +43,6 @@ from .incidence import (
     parse,
 )
 from .invariants import (
-    _prefixes,
     completeness_threshold,
     component_decomposition,
     hope_subgraph,
@@ -127,6 +126,17 @@ class _Order(NamedTuple):
     prime_full: bool  # v_first has degree f(first)
     before_prime_full: bool  # every v_m, m < first, has degree f(m)
     jump: bool  # some |d_i - d_(i-1)| exceeds a(2i-1)+b
+
+
+def _prefixes(p: IncidencePolynomial, n: int) -> Iterator[JacoGraph]:
+    """Yield the order-k graph for k = 1..n, sliced from one build.
+
+    In-degrees and reaches do not depend on the order, so the order-k
+    graph is the first k of each.
+    """
+    full = build(p, n)
+    for k in range(1, n + 1):
+        yield JacoGraph(p, k, full.in_degrees[:k], full.reaches[:k])
 
 
 @cache
@@ -332,8 +342,8 @@ def prop_hope_complete(cfg: VerifyConfig, res: PropertyResult) -> None:
 
 def prop_locator(cfg: VerifyConfig, res: PropertyResult) -> None:
     for p in cfg.quadratic_polys():
-        # the sweep refuses an unreachable target before the locator builds
-        # its f(f(1)) + 1 vertices
+        # the sweep runs first, so an unreachable target exits 3, not 1,
+        # even where the locator would refuse k = 2^63
         f1 = evaluate(p, 1)
         target = evaluate(p, f1)
         swept = oracle.sweep_smallest_max_degree(p, target)

@@ -96,6 +96,8 @@ def test_complete_graph_stats_examples():
     assert complete_graph_stats(4) == (10, Fraction(5, 2), Fraction(5, 4))
     assert complete_graph_stats(1) == (1, Fraction(1), Fraction(0))
     assert complete_graph_stats(7) == (28, Fraction(4), Fraction(4))
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        complete_graph_stats(0)
 
 
 def test_complete_graph_stats_match_engine():

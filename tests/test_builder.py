@@ -136,6 +136,18 @@ def test_build_overflow():
         build(X2, 4_000_000_000)
 
 
+def test_build_refuses_f_n_plus_n_past_64_bits():
+    # f(n) itself fits, so only build's own guard on f(n) + n refuses
+    top = IncidencePolynomial(0, 0, INT64_MAX)
+    for refuse in (lambda: build(top, 1), lambda: next(root_stream(top))):
+        with pytest.raises(ArithmeticOverflowError, match=r"^f\(1\) \+ 1 exceeds the 64-bit range$"):
+            refuse()
+    below = IncidencePolynomial(0, 0, INT64_MAX - 1)
+    assert build(below, 1).reaches == (INT64_MAX,)
+    with pytest.raises(ArithmeticOverflowError, match=r"^f\(2\) \+ 2 exceeds the 64-bit range$"):
+        build(below, 2)
+
+
 def test_stream_overflow_raises():
     stream = root_stream(IncidencePolynomial(3037000500**2, 0, 0))
     with pytest.raises(ArithmeticOverflowError):

@@ -197,6 +197,10 @@ def test_proper_colouring_validation():
         ProperColouring.from_assignment(path, (1, 1, 2))
     with pytest.raises(ValueError):
         ProperColouring.from_assignment(path, (1, 3, 1))  # colour 2 unused
+    with pytest.raises(ValueError, match="assignment length differs from graph order"):
+        ProperColouring.from_assignment(path, (1, 2))
+    with pytest.raises(ValueError, match="colours must be positive integers"):
+        ProperColouring.from_assignment(path, (1, 0, 1))
 
 
 @pytest.mark.parametrize("make, least", [

@@ -414,10 +414,12 @@ def test_verify_refuses_an_unreachable_locator_target(capsys):
 
 
 @pytest.mark.parametrize("f, target", [
-    # the locator would build 27,000,001 vertices, about 2.5 GB
+    # the sweep stops at order 20,000 though the locator answers k = 27,000,001
     ("300*x^2", 27_000_000),
-    # the locator's build of 10^9 + 1 vertices would leave the 64-bit range
+    # and k = 10^9 + 1
     ("1000*x^2", 1_000_000_000),
+    # the locator itself would refuse k = 2^63 with exit 1
+    ("17*x^2+715827836*x+31", 2**63 - 1),
 ])
 def test_verify_refuses_an_unreachable_locator_target_before_the_locator_builds(
     capsys, monkeypatch, f, target
@@ -659,6 +661,12 @@ def _past_64_bits(command):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == ("error: f(4000000000) = 16000000000000000000 exceeds the 64-bit range;"
                            " reduce the order\n")
+
+
+def test_table1_refuses_f_1_plus_1_past_the_64_bit_range(capsys):
+    # f(1) = 2^63 - 1 fits, so the build's own guard on f(n) + n refuses
+    code, out, err = run(capsys, "table1", "--f", "9223372036854775807", "--n", "1")
+    assert (code, out, err) == (1, "", "error: f(1) + 1 exceeds the 64-bit range\n")
 
 
 def test_table1_past_the_64_bit_range_is_an_input_error():

@@ -153,6 +153,8 @@ def test_forward_difference_bound_examples():
     assert forward_difference_bound(IncidencePolynomial(2, 3, 0), 3) == 13
     with pytest.raises(ValueError):
         forward_difference_bound(IncidencePolynomial(1, 0, 0), 1)
+    with pytest.raises(ArithmeticOverflowError, match="difference bound at i=2 exceeds the 64-bit range"):
+        forward_difference_bound(IncidencePolynomial(2**62, 0, 0), 2)
 
 
 @given(polynomials(max_a=10, max_b=10, max_c=10), st.integers(1, 10_000))

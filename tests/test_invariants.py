@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jacograph import (
+    ArithmeticOverflowError,
     ConstructionRow,
     HopeNotCompleteError,
     IncidencePolynomial,
@@ -244,6 +245,30 @@ def test_smallest_with_max_degree_examples():
 def test_locator_agrees_with_sweep(p):
     k, prime, delta = smallest_with_max_degree(p)
     assert sweep_smallest_max_degree(p, delta) == k
+
+
+@given(quadratic_polynomials())
+@settings(max_examples=40, deadline=None)
+def test_locator_matches_literal_degrees(p):
+    # the slow check of all three fields: the literal degrees at orders k and k - 1
+    k, prime, delta = smallest_with_max_degree(p)
+    d = underlying_degrees(build(p, k))
+    assert max(d) == delta
+    assert d.index(delta) + 1 == prime
+    assert max(underlying_degrees(build(p, k - 1))) < delta
+
+
+def test_locator_reads_off_f_with_no_build(monkeypatch):
+    # f(f(1)) = 2^63 - 1, so k = 2^63 is past the 64-bit range
+    with pytest.raises(ArithmeticOverflowError, match="9223372036854775808.* exceeds the 64-bit range"):
+        smallest_with_max_degree(IncidencePolynomial(17, 715827836, 31))
+
+    def refuse(p, n):
+        raise AssertionError(f"the locator built {n} vertices")
+
+    monkeypatch.setattr(invariants, "build", refuse)
+    assert smallest_with_max_degree(parse("300*x^2")) == (27_000_001, 300, 27_000_000)
+    assert smallest_with_max_degree(parse("1000*x^2")) == (1_000_000_001, 1000, 1_000_000_000)
 
 
 def test_component_decomposition_examples():
