@@ -59,7 +59,6 @@ underlying Jaco graph the prefix is the underlying order-k graph.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -68,7 +67,6 @@ from operator import ge, le, mul, sub
 from typing import Iterable, Iterator
 
 from .builder import JacoGraph
-from .errors import VertexIndexError
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,7 @@ class SimpleGraph:
     ``interval_caps`` is the graph's one representation: the caps are
     non-decreasing, ``interval_caps[u - 1]`` lies in u..order, and u ~ v
     for u < v exactly when v <= interval_caps[u - 1].  The constructor
-    checks both conditions, so every graph carries its certificate, and
-    every query reads the caps.  A query about a vertex outside 1..order
-    raises :class:`VertexIndexError`.
+    checks both conditions, so every graph carries its certificate.
     """
 
     interval_caps: tuple[int, ...]
@@ -110,28 +106,6 @@ class SimpleGraph:
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
         return cls.from_intervals([n] * n)
-
-    def _check_index(self, *vertices: int) -> None:
-        for v in vertices:
-            if not 1 <= v <= self.order:
-                raise VertexIndexError(f"vertex index {v} outside 1..{self.order}")
-
-    def _lo(self, v: int) -> int:
-        """The first vertex whose cap reaches v, for v in 1..order."""
-        self._check_index(v)
-        return bisect_left(self.interval_caps, v) + 1
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_index(u, v)
-        u, v = sorted((u, v))
-        return u < v <= self.interval_caps[u - 1]
-
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return (*range(self._lo(v), v), *range(v + 1, self.interval_caps[v - 1] + 1))
-
-    def degree(self, v: int) -> int:
-        lo = self._lo(v)  # checks v before the caps are indexed
-        return self.interval_caps[v - 1] - lo
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, cap in enumerate(self.interval_caps, start=1):

@@ -24,6 +24,7 @@ run holds O(n) per polynomial.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import pairwise
@@ -248,9 +249,11 @@ def prop_truncation_coherence(cfg: VerifyConfig, res: PropertyResult) -> None:
                 and part.reaches == full.reaches[:m],
                 f"{format_polynomial(p)}: truncation to {m} changed in-degrees or reaches",
             )
+            # the literal arcs of the order-m graph, counted at their tails
+            outs = Counter(i for i, _ in oracle.arcs_by_definition(p, m))
             res.check(
-                all(part.out_degree(i) == min(part.reach(i), m) - i for i in range(1, m + 1)),
-                f"{format_polynomial(p)}: finite out-degree differs from min(reach, n) - i at n={m}",
+                all(part.out_degree(i) == outs[i] for i in range(1, m + 1)),
+                f"{format_polynomial(p)}: finite out-degree differs from the definitional arcs at n={m}",
             )
 
 
@@ -521,15 +524,16 @@ def prop_variance_symmetry(cfg: VerifyConfig, res: PropertyResult) -> None:
 
 
 def prop_jaconian_contiguity(cfg: VerifyConfig, res: PropertyResult) -> None:
-    """Observation only: the Jaconian set was a contiguous index block in
-    every graph checked so far.  Never asserted, though ``jaconian`` relies
-    on it; this checks it literally, from every degree of every prefix."""
-    records = [r for p in cfg.structural_polys() for r in _degree_sweep(p, cfg.n_max)]
-    contiguous = sum(r.last - r.first + 1 == r.count for r in records)
-    res.checks = len(records)
-    res.notes.append(
-        f"contiguous in {contiguous}/{len(records)} graphs checked (observation, not asserted)"
-    )
+    """The Jaconian set is one run of indices, as the ``invariants`` module
+    docstring proves and ``jaconian`` relies on; checked literally, from
+    every degree of every prefix."""
+    for p in cfg.structural_polys():
+        for r in _degree_sweep(p, cfg.n_max):
+            res.check(
+                r.last - r.first + 1 == r.count,
+                f"{format_polynomial(p)}: at n={r.order} the {r.count} vertices of degree"
+                f" {r.delta} do not fill {r.first}..{r.last}",
+            )
 
 
 PROPERTIES = (
@@ -582,10 +586,13 @@ def run(cfg: VerifyConfig | None = None, only: tuple[str, ...] | None = None) ->
             selected.append((name, known[name]))
     else:
         selected = list(PROPERTIES)
-    exhaustive = any(func is prop_oracle_colouring for _, func in selected)
-    if exhaustive and cfg.colouring_n_max > oracle.MAX_EXHAUSTIVE_ORDER:
-        # refused before any property runs, not after all the others have
+    # an order an oracle caps is refused before any property runs, not after
+    # all the others have
+    funcs = {func for _, func in selected}
+    if prop_oracle_colouring in funcs and cfg.colouring_n_max > oracle.MAX_EXHAUSTIVE_ORDER:
         raise OrderTooLargeError(f"exhaustive oracle capped at order {oracle.MAX_EXHAUSTIVE_ORDER}")
+    if prop_truncation_coherence in funcs and cfg.n_max > oracle.MAX_DEFINITIONAL_ORDER:
+        raise OrderTooLargeError(f"definitional oracle capped at {oracle.MAX_DEFINITIONAL_ORDER}")
     results = []
     try:
         for name, func in selected:

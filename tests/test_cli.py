@@ -311,6 +311,19 @@ def test_verify_reports_a_failing_property(capsys, monkeypatch):
     assert lines[-1] == "1 of 1 properties failed"
 
 
+def test_truncation_coherence_counts_the_definitional_arcs(monkeypatch):
+    # a reach one too low past v_1, which out_degree reads through
+    # capped_reach; a law comparing out_degree with min(reach, n) - i
+    # restates out_degree and would pass this mutant
+    monkeypatch.setattr(builder.JacoGraph, "reach", lambda g, i: g.reaches[i - 1] - (i > 1))
+    monkeypatch.setattr(builder.JacoGraph, "capped_reach", lambda g, i: min(g.reach(i), g.n))
+    [res] = verify.run(verify.VerifyConfig(polynomials=(X2,), n_max=40), ("truncation-coherence",))
+    assert res.checks == 10
+    assert sorted(res.failures) == [
+        f"x^2: finite out-degree differs from the definitional arcs at n={m}" for m in (13, 20, 40)
+    ]
+
+
 def test_verify_results_follow_the_property_order():
     cfg = verify.VerifyConfig(
         polynomials=(IncidencePolynomial(1, 0, 0),), n_max=5, colouring_n_max=3
@@ -342,19 +355,20 @@ _PREFIX_LAWS = ("delta-monotone", "min-degree-bound", "prime-full-degree-prefix"
     # vertex 1 above the maximum
     (30, lambda d: (max(d) + 1,) + d[1:],
      {"delta-monotone", "min-degree-bound", "milestone-prime", "degree-jump-bound"},
-     "44c73cdc7f8e59b2f0802486271d1188ca778ea49a00481fbd62a6a2b55b2dec"),
+     "854588a4cc6449cf641ebfe73d7e78b5d5ff6661a585b743695f749541478c7a"),
     # a negative degree, and the maximum split off onto the last vertex
     (40, lambda d: (-1,) + d[1:-1] + (max(d),),
-     {"min-degree-bound", "prime-full-degree-prefix", "degree-jump-bound", "jaconian-plateau"},
-     "c6ad6cebe25cb8fd5d8a73252ebbffc5da655eb214c0c5e57415d35bc0b38015"),
+     {"min-degree-bound", "prime-full-degree-prefix", "degree-jump-bound", "jaconian-plateau",
+      "jaconian-contiguity"},
+     "39b6e921e4e4f7fd35fa6a7eb36437c080d63c99586257b5fc6161177f2feba1"),
     # every degree capped at 2
     (25, lambda d: tuple(min(x, 2) for x in d),
      {"delta-monotone", "milestone-prime"},
-     "1a53c0cfd3683d5d24419a6a8091c0defc7b3a4a12253ed6c1c83c4f2ee35a07"),
+     "8464e00132a41c33dd9057d6da5dfcd1f94ea2b25f393d402e18e16f5599e5cc"),
     # vertex 1 below f(1) while the prime keeps its full degree
     (50, lambda d: (d[0] - 1,) + d[1:],
      {"prime-full-degree-prefix", "degree-jump-bound"},
-     "49781e2aacd71fbf35228879ebd41d4747918d8b49009a978f9ada918e310e9b"),
+     "a94673e49c234747d2d2e219af68ce546e175c410c5764f567e29a4a302fb478"),
 ])
 def test_verify_reports_a_corrupted_prefix(capsys, monkeypatch, order, corrupt, failing, digest):
     # one prefix's degrees are corrupted; every law over the prefixes reads
@@ -398,6 +412,16 @@ def test_verify_refuses_a_colouring_order_past_the_oracle_cap_before_any_work(
     monkeypatch.setattr(verify, "PropertyResult", refuse)
     code, out, err = run(capsys, "verify", *argv, "--colouring-n", "13")
     assert (code, out, err) == (1, "", "error: exhaustive oracle capped at order 12\n")
+
+
+def test_verify_refuses_an_order_past_the_definitional_cap_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a property ran before the order was refused")
+
+    monkeypatch.setattr(verify, "PropertyResult", refuse)
+    for argv in ((), ("--prop", "parse-roundtrip", "--prop", "truncation-coherence")):
+        code, out, err = run(capsys, "verify", *argv, "--n", "10001")
+        assert (code, out, err) == (1, "", "error: definitional oracle capped at 10000\n")
 
 
 def test_verify_takes_a_colouring_order_past_the_oracle_cap_without_the_oracle(capsys):
@@ -529,7 +553,7 @@ PINNED = [
     ("verify --prop greedy-agreement",
      "f62ac20e41ef05d4f44e194ea5298827dc7a018a6f15acc181b827dc77ac7f0a"),
     ("verify",
-     "044621bac66d101521ef1ba1df75fe54c1715f802b24be2f4352bbf32d6df5b7"),
+     "0baaea8c23ad2cc38bc97806061cccb0fa98ca5c6c4943dc37ecde2fd315c796"),
 ]
 
 
