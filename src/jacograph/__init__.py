@@ -22,7 +22,6 @@ from .builder import (
     JacoGraph,
     arcs,
     build,
-    out_degree_root,
     root_stream,
 )
 from .chroma import (
@@ -48,7 +47,6 @@ from .errors import (
     PolynomialParseError,
     SearchBudgetExceededError,
     UnreachableVertexError,
-    VertexIndexError,
 )
 from .incidence import (
     FamilyClass,
@@ -94,7 +92,6 @@ __all__ = [
     "SearchBudgetExceededError",
     "SimpleGraph",
     "UnreachableVertexError",
-    "VertexIndexError",
     "arcs",
     "build",
     "chroma_report",
@@ -115,7 +112,6 @@ __all__ = [
     "mu_max_two_block",
     "mu_max_two_block_superseded",
     "mu_min_two_block",
-    "out_degree_root",
     "parse",
     "realize",
     "reverse_colouring",

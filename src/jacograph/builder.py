@@ -62,12 +62,7 @@ from operator import sub
 from typing import Iterator, Sequence
 from weakref import WeakValueDictionary
 
-from .errors import (
-    ArcBudgetExceededError,
-    ArithmeticOverflowError,
-    InvalidOrderError,
-    VertexIndexError,
-)
+from .errors import ArcBudgetExceededError, ArithmeticOverflowError, InvalidOrderError
 from .incidence import INT64_MAX, IncidencePolynomial, evaluate
 
 DEFAULT_ARC_BUDGET = 10_000_000
@@ -90,43 +85,19 @@ _LIVE: WeakValueDictionary[IncidencePolynomial, JacoGraph] = WeakValueDictionary
 class JacoGraph:
     """A finite Jaco graph in interval-compressed form.
 
-    ``in_degrees[i - 1]`` and ``reaches[i - 1]`` hold the data of vertex i.
-    In-degrees are independent of the order n (in-neighbours always have a
-    smaller index), so truncating or extending a graph never changes them;
-    only out-arcs are clipped at n.
+    ``in_degrees[i - 1]`` and ``reaches[i - 1]`` hold the data of vertex i,
+    so its root-stream record is ``(i, in_degrees[i - 1], reaches[i - 1])``
+    and ``zip(count(1), in_degrees, reaches)`` lists them all.  Its
+    out-degree is ``reach - i`` in the root graph and ``min(reach, n) - i``
+    here.  In-degrees are independent of the order n (in-neighbours always
+    have a smaller index), so truncating or extending a graph never changes
+    them; only out-arcs are clipped at n.
     """
 
     incidence: IncidencePolynomial
     n: int
     in_degrees: tuple[int, ...] = field(repr=False)
     reaches: tuple[int, ...] = field(repr=False)
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise VertexIndexError(f"vertex index {i} outside 1..{self.n}")
-
-    def in_degree(self, i: int) -> int:
-        self._check_index(i)
-        return self.in_degrees[i - 1]
-
-    def reach(self, i: int) -> int:
-        """Largest index v_i sends an arc to in the infinite root graph."""
-        self._check_index(i)
-        return self.reaches[i - 1]
-
-    def capped_reach(self, i: int) -> int:
-        """Largest out-neighbour index within this finite graph."""
-        self._check_index(i)
-        return min(self.reaches[i - 1], self.n)
-
-    def out_degree(self, i: int) -> int:
-        """Out-degree within this finite graph: min(reach(i), n) - i."""
-        return self.capped_reach(i) - i
-
-    def record(self, i: int) -> tuple[int, int, int]:
-        """The root stream's record of v_i: (i, in-degree, reach)."""
-        self._check_index(i)
-        return i, self.in_degrees[i - 1], self.reaches[i - 1]
 
     def arc_count(self) -> int:
         return sum(self.in_degrees)  # each arc once, at its head
@@ -248,15 +219,6 @@ def root_stream(p: IncidencePolynomial) -> Iterator[tuple[int, int, int]]:
         yield from zip(count(lo), d, r)
         lo += len(d)
     raise ArithmeticOverflowError(f"f({lo}) + {lo} exceeds the 64-bit range")
-
-
-def out_degree_root(g: JacoGraph, i: int) -> int:
-    """Out-degree of v_i in the infinite root graph: f(i) - indeg(i).
-
-    Equals reach(i) - i; unlike the finite out-degree it is not clipped
-    at n.
-    """
-    return g.reach(i) - i
 
 
 def check_arc_budget(g: JacoGraph, budget: int) -> None:

@@ -21,10 +21,6 @@ class InvalidOrderError(JacoError, ValueError):
     """Requested graph order is outside the admissible range (n >= 1)."""
 
 
-class VertexIndexError(JacoError, IndexError):
-    """Vertex index outside the built or streamed range."""
-
-
 class ArcBudgetExceededError(JacoError):
     """Materializing the arc list would exceed the caller's budget."""
 

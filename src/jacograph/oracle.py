@@ -50,18 +50,19 @@ def arcs_by_definition(p: IncidencePolynomial, n: int) -> list[tuple[int, int]]:
         raise OrderTooLargeError(f"definitional oracle capped at {MAX_DEFINITIONAL_ORDER}")
     a, b, c = p.a, p.b, p.c
     indeg = [0] * (n + 1)
-    arc_set: set[tuple[int, int]] = set()
+    found: list[tuple[int, int]] = []  # the scan meets the pairs in sorted order
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if a * i * i + (b + 1) * i + c - indeg[i] >= j:
-                arc_set.add((i, j))
+                found.append((i, j))
                 indeg[j] += 1
+    arc_set = set(found)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             holds = a * i * i + (b + 1) * i + c - indeg[i] >= j
             if holds != ((i, j) in arc_set):
                 raise AssertionError(f"definitional replay unstable at pair ({i}, {j})")
-    return sorted(arc_set)
+    return found
 
 
 def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ checks and notes on it.  ``run`` skips, with a note, the laws stated for
 x^2 alone when x^2 is not selected.  Laws stated order by order read the
 order-k graphs as prefixes of one build, sliced by ``_prefixes``.
 
-Seven of them read one small record per order k, made once per polynomial
+Eight of them read one small record per order k, made once per polynomial
 in a ``run`` from the literal underlying degrees of the order-k graph: k
 and the in-degree of v_k; the maximum degree Delta and the minimum degree;
 the first index (the prime), last index and count of Delta; whether the
@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 from . import braided, chroma, oracle
 from .builder import JacoGraph, arcs, build
-from .errors import HopeNotCompleteError, OrderTooLargeError
+from .errors import OrderTooLargeError
 from .incidence import (
     FamilyClass,
     IncidencePolynomial,
@@ -252,7 +252,7 @@ def prop_truncation_coherence(cfg: VerifyConfig, res: PropertyResult) -> None:
             # the literal arcs of the order-m graph, counted at their tails
             outs = Counter(i for i, _ in oracle.arcs_by_definition(p, m))
             res.check(
-                all(part.out_degree(i) == outs[i] for i in range(1, m + 1)),
+                all(min(r, m) - i == outs[i] for i, r in enumerate(part.reaches, start=1)),
                 f"{format_polynomial(p)}: finite out-degree differs from the definitional arcs at n={m}",
             )
 
@@ -332,15 +332,21 @@ def prop_jaconian_plateau(cfg: VerifyConfig, res: PropertyResult) -> None:
 
 
 def prop_hope_complete(cfg: VerifyConfig, res: PropertyResult) -> None:
+    """``hope_subgraph`` of every prefix is the range above its literal
+    prime, and every vertex in that range below v_k reaches v_k, read off
+    each reach, so the range induces a complete graph."""
     for p in cfg.quadratic_polys():
-        broken = None
-        for g in _prefixes(p, cfg.n_max):
-            try:
-                hope_subgraph(g)
-            except HopeNotCompleteError:
-                broken = g.n
-                break
-        res.check(broken is None, f"{format_polynomial(p)}: Hope subgraph not complete at order {broken}")
+        orders = zip(_prefixes(p, cfg.n_max), _degree_sweep(p, cfg.n_max))
+        broken = next((
+            g.n for g, r in orders
+            if hope_subgraph(g) != range(r.first + 1, g.n + 1)
+            or min(g.reaches[r.first : g.n - 1], default=g.n) < g.n
+        ), None)
+        res.check(
+            broken is None,
+            f"{format_polynomial(p)}: Hope subgraph is not the complete range above the prime"
+            f" at order {broken}",
+        )
 
 
 def prop_locator(cfg: VerifyConfig, res: PropertyResult) -> None:
@@ -376,13 +382,7 @@ def prop_component_structure(cfg: VerifyConfig, res: PropertyResult) -> None:
         g = build(p, n)
         comps = component_decomposition(g)
         scanned = comps == _scanned_components(g)
-        family = classify(p)
-        if family is FamilyClass.CONSTANT and p.c == 0:
-            res.check(
-                scanned and len(comps) == n,
-                f"{format_polynomial(p)}: zero polynomial should give {n} singletons",
-            )
-        elif family is FamilyClass.CONSTANT:
+        if classify(p) is FamilyClass.CONSTANT:
             size = p.c + 1
             expected = [
                 range(s, min(s + size, n + 1)) for s in range(1, n + 1, size)

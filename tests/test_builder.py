@@ -1,7 +1,7 @@
 import gc
 import weakref
 from collections import deque
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,11 +11,9 @@ from jacograph import (
     ArithmeticOverflowError,
     IncidencePolynomial,
     InvalidOrderError,
-    VertexIndexError,
     arcs,
     build,
     evaluate,
-    out_degree_root,
     root_stream,
 )
 from jacograph import builder
@@ -71,7 +69,7 @@ def deque_stream(p):
 
 def test_table_in_degrees_first_six():
     g = build(X2, 6)
-    assert [g.in_degree(i) for i in range(1, 7)] == [0, 1, 1, 2, 3, 3]
+    assert g.in_degrees == (0, 1, 1, 2, 3, 3)
 
 
 def test_single_vertex_has_no_arcs():
@@ -100,18 +98,11 @@ def test_root_stream_reach_with_offset():
 
 
 def test_out_degree_root_examples():
+    # the root out-degree of v_i is reach(i) - i, unclipped by n
     g = build(X2, 6)
-    assert out_degree_root(g, 3) == 8
-    assert out_degree_root(g, 1) == 1
-    assert out_degree_root(g, 6) == 33
-    with pytest.raises(VertexIndexError):
-        out_degree_root(g, 7)
-
-
-def test_record_reach_gives_root_out_degree():
-    g = build(X2, 6)
-    index, _, reach = g.record(3)
-    assert out_degree_root(g, index) == reach - index == 8
+    assert g.reaches[3 - 1] - 3 == 8
+    assert g.reaches[1 - 1] - 1 == 1
+    assert g.reaches[6 - 1] - 6 == 33
 
 
 def test_arcs_examples():
@@ -213,7 +204,8 @@ def test_shorter_build_keeps_the_longer_live_one(no_live_builds):
     assert list(islice(root_stream(X2), 8000)) == list(islice(deque_stream(X2), 8000))
     del longer
     assert builder._LIVE.get(X2) is None
-    assert list(islice(root_stream(X2), 500)) == list(map(shorter.record, range(1, 501)))
+    records = zip(count(1), shorter.in_degrees, shorter.reaches)
+    assert list(islice(root_stream(X2), 500)) == list(records)
     again = build(X2, 500)  # the entry is dead, so any longer build replaces it
     assert builder._LIVE.get(X2) is again
     build(X2, 500)
@@ -230,7 +222,7 @@ def test_arcs_match_definitional_oracle(p, n):
 @settings(max_examples=60)
 def test_record_invariants(p, n):
     g = build(p, n)
-    for index, in_degree, reach in map(g.record, range(1, g.n + 1)):
+    for index, in_degree, reach in zip(count(1), g.in_degrees, g.reaches):
         assert reach >= index
         assert 0 <= in_degree <= index - 1 or index == 1
         assert in_degree <= evaluate(p, index)
@@ -313,9 +305,7 @@ def test_stream_agrees_with_build(p, n):
         resumed = list(islice(root_stream(p), extra))
         builder._LIVE.clear()
         alone = list(islice(root_stream(p), extra))
-    for index, in_degree, reach in alone[:n]:
-        assert in_degree == g.in_degree(index)
-        assert reach == g.reach(index)
+    assert alone[:n] == list(zip(count(1), g.in_degrees, g.reaches))
     assert resumed == alone
 
 
@@ -329,9 +319,8 @@ def test_held_records_are_untracked():
         resumed = list(islice(root_stream(X2), 10_000))
         builder._LIVE.clear()
         alone = list(islice(root_stream(X2), 10_000))
-    built = list(map(g.record, range(1, g.n + 1)))
     gc.collect()
-    for r in resumed + alone + built:
+    for r in resumed + alone:
         assert type(r) is tuple and not gc.is_tracked(r)
 
 

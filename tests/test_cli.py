@@ -312,15 +312,32 @@ def test_verify_reports_a_failing_property(capsys, monkeypatch):
 
 
 def test_truncation_coherence_counts_the_definitional_arcs(monkeypatch):
-    # a reach one too low past v_1, which out_degree reads through
-    # capped_reach; a law comparing out_degree with min(reach, n) - i
-    # restates out_degree and would pass this mutant
-    monkeypatch.setattr(builder.JacoGraph, "reach", lambda g, i: g.reaches[i - 1] - (i > 1))
-    monkeypatch.setattr(builder.JacoGraph, "capped_reach", lambda g, i: min(g.reach(i), g.n))
+    # every reach past v_1 one too low in each graph the law builds; its
+    # truncations agree with each other, so only the arcs can tell
+    built = verify.build
+
+    def lowered(p, n):
+        g = built(p, n)
+        lower = g.reaches[:1] + tuple(r - 1 for r in g.reaches[1:])
+        return builder.JacoGraph(p, n, g.in_degrees, lower)
+
+    monkeypatch.setattr(verify, "build", lowered)
     [res] = verify.run(verify.VerifyConfig(polynomials=(X2,), n_max=40), ("truncation-coherence",))
     assert res.checks == 10
     assert sorted(res.failures) == [
         f"x^2: finite out-degree differs from the definitional arcs at n={m}" for m in (13, 20, 40)
+    ]
+
+
+def test_hope_complete_checks_the_range_above_the_literal_prime(monkeypatch):
+    # the vertex just above the prime dropped; nothing raises, so a law that
+    # only calls hope_subgraph would pass this mutant
+    hope = verify.hope_subgraph
+    monkeypatch.setattr(verify, "hope_subgraph", lambda g: range(hope(g).start + 1, g.n + 1))
+    [res] = verify.run(verify.VerifyConfig(polynomials=(X2,), n_max=40), ("hope-complete",))
+    assert res.checks == 1
+    assert res.failures == [
+        "x^2: Hope subgraph is not the complete range above the prime at order 2"
     ]
 
 
@@ -332,13 +349,13 @@ def test_verify_results_follow_the_property_order():
 
 
 def test_verify_sweeps_each_prefix_once_per_run(monkeypatch):
-    # the seven laws over every prefix's degrees share one literal sweep
+    # the eight laws over every prefix's degrees share one literal sweep
     # per polynomial, and a run leaves nothing behind for the next
     swept = []
     literal = verify.underlying_degrees
     monkeypatch.setattr(verify, "underlying_degrees", lambda g: swept.append(g.n) or literal(g))
     laws = ("delta-monotone", "min-degree-bound", "prime-full-degree-prefix", "milestone-prime",
-            "degree-jump-bound", "jaconian-plateau", "jaconian-contiguity")
+            "degree-jump-bound", "jaconian-plateau", "hope-complete", "jaconian-contiguity")
     cfg = verify.VerifyConfig(n_max=30)
     for only in (laws[:1], laws, laws):
         swept.clear()

@@ -75,7 +75,7 @@ def _walked_distance(g):
         return 0
     t = 1
     while True:
-        r = g.reach(t)
+        r = g.reaches[t - 1]
         if r >= g.n:
             return t
         if r <= t:
@@ -167,13 +167,13 @@ def test_hope_subgraph_matches_literal_scan(p, n):
     lo = jaconian(g).prime_jaconian + 1
     short = None
     for i in range(lo, n):
-        if g.reach(i) < n:
+        if g.reaches[i - 1] < n:
             short = i
             break
     if short is None:
         assert hope_subgraph(g) == range(lo, n + 1)
     else:
-        message = rf"^vertex {short} reaches only {g.reach(short)} < n = {n};"
+        message = rf"^vertex {short} reaches only {g.reaches[short - 1]} < n = {n};"
         with pytest.raises(HopeNotCompleteError, match=message):
             hope_subgraph(g)
 
@@ -195,8 +195,8 @@ def test_v1_distance_unreachable():
 @settings(max_examples=60)
 def test_v1_distance_equals_smallest_covering_index(p, n):
     g = build(p, n)
-    assert v1_distance(g) == n - g.in_degree(n)
-    assert v1_distance(g) == min(i for i in range(1, n) if g.reach(i) >= n)
+    assert v1_distance(g) == n - g.in_degrees[n - 1]
+    assert v1_distance(g) == min(i for i in range(1, n) if g.reaches[i - 1] >= n)
 
 
 @given(quadratic_polynomials(), st.integers(2, 100))
@@ -210,7 +210,7 @@ def test_v1_distance_upper_bounds_shortest_path(p, n):
     while frontier and n not in dist:
         nxt = []
         for u in frontier:
-            for v in range(u + 1, g.capped_reach(u) + 1):
+            for v in range(u + 1, min(g.reaches[u - 1], n) + 1):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
@@ -344,7 +344,7 @@ def test_construction_table_rows_match_each_literal_prefix(p, n):
         g = JacoGraph(p, k, full.in_degrees[:k], full.reaches[:k])
         rep = _scanned_report(g)
         assert next(rows) == ConstructionRow(
-            k, g.in_degree(k), g.reach(k) - k, rep.jaconian_set, rep.max_degree,
+            k, g.in_degrees[k - 1], g.reaches[k - 1] - k, rep.jaconian_set, rep.max_degree,
             rep.v1_distance,
         )
     assert next(rows, None) is None
@@ -359,7 +359,7 @@ def test_chain_break_closed_form_matches_the_literal_walk(p, n):
     g = build(p, n)
     first = None
     for t in range(1, n + 1):
-        if g.reach(t) <= t:
+        if g.reaches[t - 1] <= t:
             first = t
             break
     closed = invariants._chain_break(p)
