@@ -46,7 +46,6 @@ from .errors import (
     OrderTooLargeError,
     PolynomialParseError,
     SearchBudgetExceededError,
-    UnreachableVertexError,
 )
 from .incidence import (
     FamilyClass,
@@ -67,7 +66,6 @@ from .invariants import (
     jaconian,
     smallest_with_max_degree,
     underlying_degrees,
-    v1_distance,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +89,6 @@ __all__ = [
     "ProperColouring",
     "SearchBudgetExceededError",
     "SimpleGraph",
-    "UnreachableVertexError",
     "arcs",
     "build",
     "chroma_report",
@@ -119,5 +116,4 @@ __all__ = [
     "smallest_with_max_degree",
     "underlying_degrees",
     "underlying_graph",
-    "v1_distance",
 ]

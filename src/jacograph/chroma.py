@@ -133,18 +133,21 @@ class ProperColouring:
     1..k, ``weights[j - 1]`` the size of colour class j (all positive)."""
 
     assignment: tuple[int, ...]
-    k: int
     weights: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        """The number of colours."""
+        return len(self.weights)
 
     @classmethod
     def from_assignment(cls, graph: SimpleGraph, assignment: Iterable[int]) -> "ProperColouring":
         assignment = tuple(assignment)
         if len(assignment) != graph.order:
             raise ValueError("assignment length differs from graph order")
-        k = max(assignment)
         if min(assignment) < 1:
             raise ValueError("colours must be positive integers")
-        weights = [0] * k
+        weights = [0] * max(assignment)
         for colour in assignment:
             weights[colour - 1] += 1
         if 0 in weights:
@@ -152,7 +155,7 @@ class ProperColouring:
         for u, v in graph.edges():
             if assignment[u - 1] == assignment[v - 1]:
                 raise ValueError(f"adjacent vertices {u} and {v} share colour {assignment[u - 1]}")
-        return cls(assignment, k, tuple(weights))
+        return cls(assignment, tuple(weights))
 
 
 def _weighted_sum(weights: Iterable[int]) -> int:
@@ -171,7 +174,6 @@ def reverse_colouring(s: ProperColouring) -> ProperColouring:
     k = s.k
     return ProperColouring(
         assignment=tuple(k - c + 1 for c in s.assignment),
-        k=k,
         weights=tuple(reversed(s.weights)),
     )
 
@@ -207,13 +209,17 @@ def chromatic_number(graph: SimpleGraph) -> int:
     return max(map(sub, graph.interval_caps, range(1, graph.order + 1))) + 1
 
 
-def _first_fit(caps: tuple[int, ...]) -> ProperColouring:
-    """Colour v = 1..n with the least colour no earlier neighbour holds.
+def min_sum_colouring(graph: SimpleGraph) -> ProperColouring:
+    """Exact minimum-sum proper colouring of a certified graph, with exactly
+    chi(G) colours: its first-fit colouring, which is optimal and canonical
+    there (see the module docstring).  The weight vector is non-increasing.
 
-    The earlier neighbours of v are lo..v-1, where lo, the first vertex
-    whose cap reaches v, only grows as the caps never decrease; each vertex
-    the window start passes frees its colour onto a heap.
+    First-fit colours v = 1..n with the least colour no earlier neighbour
+    holds.  The earlier neighbours of v are lo..v-1, where lo, the first
+    vertex whose cap reaches v, only grows as the caps never decrease; each
+    vertex the window start passes frees its colour onto a heap.
     """
+    caps = graph.interval_caps
     free: list[int] = []
     assignment = []
     weights = []
@@ -229,15 +235,7 @@ def _first_fit(caps: tuple[int, ...]) -> ProperColouring:
             weights.append(1)
             colour = len(weights)
         assignment.append(colour)
-    return ProperColouring(tuple(assignment), len(weights), tuple(weights))
-
-
-def min_sum_colouring(graph: SimpleGraph) -> ProperColouring:
-    """Exact minimum-sum proper colouring of a certified graph, with exactly
-    chi(G) colours: its first-fit colouring, which is optimal and canonical
-    there (see the module docstring).  The weight vector is non-increasing.
-    """
-    return _first_fit(graph.interval_caps)
+    return ProperColouring(tuple(assignment), tuple(weights))
 
 
 def _closed_forms(
@@ -289,12 +287,14 @@ def chroma_report(graph: SimpleGraph) -> ChromaticReport:
 
 def _prefix_reports(graph: SimpleGraph) -> Iterator[tuple[int, list[int], int, int]]:
     """The arguments of :func:`_report` for ``chroma_report`` of the prefix
-    1..k of a certified graph, for k = 1..order, all read off one first-fit
-    (see the module docstring): k, the class sizes, the colour sum and the
-    squared-colour sum.  The class sizes are one running list, valid until
-    the next row, so a row costs O(1) unless its caller copies them."""
+    1..k of a certified graph, for k = 1..order, all read off one
+    :func:`min_sum_colouring` of the whole graph, as first-fit colours each
+    prefix as it colours the whole (see the module docstring): k, the class
+    sizes, the colour sum and the squared-colour sum.  The class sizes are
+    one running list, valid until the next row, so a row costs O(1) unless
+    its caller copies them."""
     weights, s1, s2 = [], 0, 0
-    for k, colour in enumerate(_first_fit(graph.interval_caps).assignment, start=1):
+    for k, colour in enumerate(min_sum_colouring(graph).assignment, start=1):
         if colour > len(weights):
             weights.append(0)
         weights[colour - 1] += 1

@@ -25,10 +25,6 @@ class ArcBudgetExceededError(JacoError):
     """Materializing the arc list would exceed the caller's budget."""
 
 
-class UnreachableVertexError(JacoError):
-    """No directed path from v1 to the requested vertex."""
-
-
 class HopeNotCompleteError(JacoError):
     """The vertices above the prime Jaconian vertex do not induce a complete
     subgraph.  This cannot happen for quadratic incidence; it signals either

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .builder import JacoGraph, build
-from .errors import ArithmeticOverflowError, HopeNotCompleteError, UnreachableVertexError
+from .errors import ArithmeticOverflowError, HopeNotCompleteError
 from .incidence import INT64_MAX, IncidencePolynomial, evaluate
 
 
@@ -54,8 +54,15 @@ class InvariantReport:
     ``jaconian_set`` lists, in ascending order, the vertices of maximum
     underlying degree; ``prime_jaconian`` is its smallest member.
     ``hope_range`` covers the vertices above the prime Jaconian vertex
-    (empty when the prime is v_n).  ``v1_distance`` is None when v_n is
-    not reachable from v1.
+    (empty when the prime is v_n).
+
+    ``v1_distance`` is the hop count of the stepwise chain v1 -> v2 -> ...
+    -> v_h -> v_n, where h = n - indeg(n) is the smallest index whose reach
+    covers v_n (0 when n = 1).  This is the distance convention of the
+    reference construction table; a shortest directed path may skip chain
+    vertices and be strictly shorter.  It is None when the chain breaks
+    before covering v_n, which happens exactly when v_n lies in a later
+    component.
     """
 
     max_degree: int
@@ -142,22 +149,6 @@ def hope_subgraph(g: JacoGraph) -> range:
             f" the range {lo}..{g.n} is not complete"
         )
     return range(lo, g.n + 1)
-
-
-def v1_distance(g: JacoGraph) -> int:
-    """Hop count of the stepwise chain v1 -> v2 -> ... -> v_h -> v_n, where
-    h is the smallest index whose reach covers v_n.
-
-    This is the distance convention of the reference construction table
-    (read off h = n - indeg(n) for n >= 2); a shortest directed path may
-    skip chain vertices and be strictly shorter.  Raises
-    :class:`UnreachableVertexError` when the chain breaks before covering
-    v_n, which happens exactly when v_n lies in a later component.
-    """
-    dist = _distance(g.n, g.n - g.in_degrees[-1], _chain_break(g.incidence))
-    if dist is None:
-        raise UnreachableVertexError(f"no directed path from v1 to v{g.n}")
-    return dist
 
 
 def completeness_threshold(p: IncidencePolynomial) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .builder import build
-from .chroma import ProperColouring, _weighted_sum
+from .chroma import ProperColouring
 from .errors import OrderTooLargeError, SearchBudgetExceededError
 from .incidence import IncidencePolynomial
 from .invariants import underlying_degrees
@@ -116,6 +116,11 @@ def _partitions(adj: tuple[int, ...], k: int):
     yield from rec(1)
 
 
+def _colour_sum(sizes: Iterable[int]) -> int:
+    """The colour sum of classes of these sizes coloured 1, 2, ... in order."""
+    return sum(i * w for i, w in enumerate(sizes, start=1))
+
+
 def _chi_by_enumeration(adj: tuple[int, ...]) -> int:
     for k in range(1, len(adj) + 1):
         for _ in _partitions(adj, k):
@@ -143,7 +148,7 @@ def exhaustive_min_sum(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         if len(classes) != chi:
             continue
         weights = tuple(sorted((len(c) for c in classes), reverse=True))
-        total = sum(i * w for i, w in enumerate(weights, start=1))
+        total = _colour_sum(weights)
         if best_sum is None or total < best_sum or (total == best_sum and weights > best_weights):
             best_sum = total
             best_weights = weights
@@ -214,13 +219,13 @@ def _partition_search(adj: tuple[int, ...], k: int, budget: _Budget) -> ProperCo
             for colour, c in enumerate(ranked, start=1):
                 for v in c:
                     assignment[v] = colour
-            key = (_weighted_sum(map(len, ranked)), tuple(-len(c) for c in ranked),
+            key = (_colour_sum(map(len, ranked)), tuple(-len(c) for c in ranked),
                    tuple(assignment))
             if best is None or key < best:
                 best = key
             return
         if best is not None:
-            if _weighted_sum(sorted(map(len, members), reverse=True)) + remaining > best[0]:
+            if _colour_sum(sorted(map(len, members), reverse=True)) + remaining > best[0]:
                 return
         v = order[pos]
         bit = 1 << v
@@ -246,7 +251,7 @@ def _partition_search(adj: tuple[int, ...], k: int, budget: _Budget) -> ProperCo
         raise SearchBudgetExceededError(
             f"partition search on {n} vertices exceeds the recursion limit"
         ) from None
-    return None if best is None else ProperColouring(best[2], k, tuple(-w for w in best[1]))
+    return None if best is None else ProperColouring(best[2], tuple(-w for w in best[1]))
 
 
 def partition_min_sum(

@@ -19,7 +19,9 @@ the first index (the prime), last index and count of Delta; whether the
 prime has degree f(prime) and every earlier vertex m has f(m); and whether
 some step |d_i - d_(i-1)| exceeds a(2i-1)+b.  Each prefix's degree tuple
 is dropped once its record is made, so only one is alive at a time and a
-run holds O(n) per polynomial.
+run holds O(n) per polynomial.  Those eight and ``completeness-threshold``
+build every order up to ``n_max``, so ``run`` refuses an ``n_max`` above
+the definitional oracle's cap whenever one of them is selected.
 """
 
 from __future__ import annotations
@@ -568,6 +570,13 @@ PROPERTIES = (
 # the laws stated for the reference family only
 _X_SQUARED_ONLY = {"jaconian-plateau", "greedy-agreement", "weight-evolution", "variance-symmetry"}
 
+# the laws that build every order up to --n, in time quadratic in it
+_PREFIX_SWEEPS = {
+    "delta-monotone", "min-degree-bound", "prime-full-degree-prefix", "milestone-prime",
+    "completeness-threshold", "degree-jump-bound", "jaconian-plateau", "hope-complete",
+    "jaconian-contiguity",
+}
+
 
 def available_properties() -> tuple[str, ...]:
     return tuple(name for name, _ in PROPERTIES)
@@ -593,6 +602,8 @@ def run(cfg: VerifyConfig | None = None, only: tuple[str, ...] | None = None) ->
         raise OrderTooLargeError(f"exhaustive oracle capped at order {oracle.MAX_EXHAUSTIVE_ORDER}")
     if prop_truncation_coherence in funcs and cfg.n_max > oracle.MAX_DEFINITIONAL_ORDER:
         raise OrderTooLargeError(f"definitional oracle capped at {oracle.MAX_DEFINITIONAL_ORDER}")
+    if cfg.n_max > oracle.MAX_DEFINITIONAL_ORDER and any(name in _PREFIX_SWEEPS for name, _ in selected):
+        raise OrderTooLargeError(f"prefix sweep capped at {oracle.MAX_DEFINITIONAL_ORDER}")
     results = []
     try:
         for name, func in selected:

@@ -7,7 +7,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from jacograph import BraidedString, IncidencePolynomial, build, chroma, realize, underlying_graph
+from jacograph import BraidedString, IncidencePolynomial, build, chroma, cli, realize, underlying_graph
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,6 +40,20 @@ def test_chroma_report_calls_min_sum_colouring_by_its_module_name(monkeypatch):
 
     monkeypatch.setattr(chroma, "min_sum_colouring", counting)
     chroma.chroma_report(underlying_graph(build(IncidencePolynomial(1, 0, 0), 30)))
+    assert calls == [30]
+
+
+def test_table3_colours_through_min_sum_colouring_by_its_module_name(monkeypatch, capsys):
+    calls = []
+    original = chroma.min_sum_colouring
+
+    def counting(graph):
+        calls.append(graph.order)
+        return original(graph)
+
+    monkeypatch.setattr(chroma, "min_sum_colouring", counting)
+    assert cli.main(["table3", "--f", "x^2", "--n", "30"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 30
     assert calls == [30]
 
 

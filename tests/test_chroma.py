@@ -102,7 +102,7 @@ def test_reverse_examples():
     nine = min_sum_colouring(jaco_underlying(9))
     assert reverse_colouring(nine).weights == (1, 1, 1, 1, 1, 2, 2)
 
-    single = ProperColouring(assignment=(1, 1), k=1, weights=(2,))
+    single = ProperColouring(assignment=(1, 1), weights=(2,))
     assert reverse_colouring(single) == single
 
     twelve = reverse_colouring(min_sum_colouring(jaco_underlying(12)))
@@ -111,8 +111,8 @@ def test_reverse_examples():
 
 
 def test_colour_sum_examples():
-    assert colour_sum(ProperColouring((1, 2, 3, 4), 4, (1, 1, 1, 1))) == 10
-    assert colour_sum(ProperColouring((1,) * 5, 1, (5,))) == 5
+    assert colour_sum(ProperColouring((1, 2, 3, 4), (1, 1, 1, 1))) == 10
+    assert colour_sum(ProperColouring((1,) * 5, (5,))) == 5
 
 
 def test_chromatic_stats_examples():
@@ -174,7 +174,7 @@ def test_prefix_reports_match_each_literal_braid_prefix(orders, overlaps):
 def test_report_closed_forms_match_fraction_arithmetic(weights):
     weights = tuple(weights)
     minimum = ProperColouring(
-        tuple(c for c, w in enumerate(weights, start=1) for _ in range(w)), len(weights), weights
+        tuple(c for c, w in enumerate(weights, start=1) for _ in range(w)), weights
     )
     maximum = reverse_colouring(minimum)
     s1 = sum(c * w for c, w in enumerate(weights, start=1))

@@ -441,6 +441,28 @@ def test_verify_refuses_an_order_past_the_definitional_cap_before_any_work(capsy
         assert (code, out, err) == (1, "", "error: definitional oracle capped at 10000\n")
 
 
+def test_verify_refuses_a_prefix_sweep_past_the_cap_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a property ran before the order was refused")
+
+    sweeps = ("delta-monotone", "min-degree-bound", "prime-full-degree-prefix", "milestone-prime",
+              "completeness-threshold", "degree-jump-bound", "jaconian-plateau", "hope-complete",
+              "jaconian-contiguity")
+    monkeypatch.setattr(verify, "PropertyResult", refuse)
+    for prop in sweeps:
+        code, out, err = run(capsys, "verify", "--prop", "parse-roundtrip", "--prop", prop,
+                             "--n", "10001")
+        assert (code, out, err) == (1, "", "error: prefix sweep capped at 10000\n")
+    # the definitional refusal keeps its bytes when both apply
+    code, out, err = run(capsys, "verify", "--prop", "delta-monotone", "--prop",
+                         "truncation-coherence", "--n", "10001")
+    assert (code, out, err) == (1, "", "error: definitional oracle capped at 10000\n")
+    monkeypatch.undo()
+    # a law that sweeps no prefixes is not refused
+    code, out, err = run(capsys, "verify", "--prop", "parse-roundtrip", "--n", "10001")
+    assert (code, err) == (0, "")
+
+
 def test_verify_takes_a_colouring_order_past_the_oracle_cap_without_the_oracle(capsys):
     code, out, err = run(capsys, "verify", "--prop", "reversal-identity", "--colouring-n", "13")
     assert (code, err) == (0, "")

@@ -12,7 +12,6 @@ from jacograph import (
     IncidencePolynomial,
     InvariantReport,
     JacoGraph,
-    UnreachableVertexError,
     arcs,
     build,
     completeness_threshold,
@@ -24,7 +23,6 @@ from jacograph import (
     parse,
     smallest_with_max_degree,
     underlying_degrees,
-    v1_distance,
 )
 from jacograph.oracle import sweep_smallest_max_degree
 from conftest import polynomials, quadratic_polynomials
@@ -100,12 +98,6 @@ def _scanned_report(g):
 
 def _assert_read_off_matches_scan(g):
     assert jaconian(g) == _scanned_report(g)
-    walked = _walked_distance(g)
-    if walked is None:
-        with pytest.raises(UnreachableVertexError):
-            v1_distance(g)
-    else:
-        assert v1_distance(g) == walked
 
 
 @given(st.one_of(polynomials(), polynomials(10, 10, 10)), st.integers(1, 300))
@@ -179,24 +171,22 @@ def test_hope_subgraph_matches_literal_scan(p, n):
 
 
 def test_v1_distance_examples():
-    assert v1_distance(build(X2, 6)) == 3
-    assert v1_distance(build(X2, 35)) == 6
-    assert v1_distance(build(X2, 1)) == 0
+    assert jaconian(build(X2, 6)).v1_distance == 3
+    assert jaconian(build(X2, 35)).v1_distance == 6
+    assert jaconian(build(X2, 1)).v1_distance == 0
 
 
 def test_v1_distance_unreachable():
-    with pytest.raises(UnreachableVertexError):
-        v1_distance(build(IncidencePolynomial(0, 0, 0), 2))
-    with pytest.raises(UnreachableVertexError):
-        v1_distance(build(IncidencePolynomial(0, 0, 3), 8))
+    assert jaconian(build(IncidencePolynomial(0, 0, 0), 2)).v1_distance is None
+    assert jaconian(build(IncidencePolynomial(0, 0, 3), 8)).v1_distance is None
 
 
 @given(quadratic_polynomials(), st.integers(2, 150))
 @settings(max_examples=60)
 def test_v1_distance_equals_smallest_covering_index(p, n):
     g = build(p, n)
-    assert v1_distance(g) == n - g.in_degrees[n - 1]
-    assert v1_distance(g) == min(i for i in range(1, n) if g.reaches[i - 1] >= n)
+    assert jaconian(g).v1_distance == n - g.in_degrees[n - 1]
+    assert jaconian(g).v1_distance == min(i for i in range(1, n) if g.reaches[i - 1] >= n)
 
 
 @given(quadratic_polynomials(), st.integers(2, 100))
@@ -216,7 +206,7 @@ def test_v1_distance_upper_bounds_shortest_path(p, n):
                     nxt.append(v)
         frontier = nxt
     assert n in dist
-    assert dist[n] <= v1_distance(g)
+    assert dist[n] <= jaconian(g).v1_distance
 
 
 def test_completeness_threshold_examples():

@@ -30,6 +30,13 @@ def test_arcs_by_definition_matches_builder():
     assert arcs_by_definition(X2, 6) == arcs(build(X2, 6))
 
 
+def test_oracle_shares_only_the_colouring_type_with_chroma():
+    # the searches check first-fit, so they may not share its arithmetic
+    shared = [name for name, obj in vars(oracle).items()
+              if getattr(obj, "__module__", None) == "jacograph.chroma"]
+    assert shared == ["ProperColouring"]
+
+
 def test_arcs_by_definition_trivial():
     assert arcs_by_definition(X2, 1) == []
 
