@@ -59,10 +59,6 @@ class BraidedString:
                     f" {self.overlaps[j]} + {self.overlaps[j + 1]} > {self.orders[j + 1]}"
                 )
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.orders) - sum(self.overlaps)
-
 
 def realize(s: BraidedString) -> SimpleGraph:
     """Realize the braided string as a simple graph.

@@ -140,32 +140,10 @@ class ProperColouring:
         """The number of colours."""
         return len(self.weights)
 
-    @classmethod
-    def from_assignment(cls, graph: SimpleGraph, assignment: Iterable[int]) -> "ProperColouring":
-        assignment = tuple(assignment)
-        if len(assignment) != graph.order:
-            raise ValueError("assignment length differs from graph order")
-        if min(assignment) < 1:
-            raise ValueError("colours must be positive integers")
-        weights = [0] * max(assignment)
-        for colour in assignment:
-            weights[colour - 1] += 1
-        if 0 in weights:
-            raise ValueError("every colour in 1..k must be used")
-        for u, v in graph.edges():
-            if assignment[u - 1] == assignment[v - 1]:
-                raise ValueError(f"adjacent vertices {u} and {v} share colour {assignment[u - 1]}")
-        return cls(assignment, tuple(weights))
-
-
-def _weighted_sum(weights: Iterable[int]) -> int:
-    """sum_i i * weights[i - 1]."""
-    return sum(map(mul, weights, count(1)))
-
 
 def colour_sum(s: ProperColouring) -> int:
-    """The colour sum: sum of i * theta(c_i)."""
-    return _weighted_sum(s.weights)
+    """The colour sum: sum of i * theta(c_i), the sum of the colours."""
+    return sum(s.assignment)
 
 
 def reverse_colouring(s: ProperColouring) -> ProperColouring:
@@ -181,9 +159,9 @@ def reverse_colouring(s: ProperColouring) -> ProperColouring:
 def chromatic_stats(s: ProperColouring) -> tuple[Fraction, Fraction]:
     """Mean and variance of the colour index under the colouring's pmf
     theta(c_i)/|V|, both exact rationals."""
-    n = sum(s.weights)
-    mean = Fraction(_weighted_sum(s.weights), n)
-    second = Fraction(_weighted_sum(map(mul, s.weights, count(1))), n)  # sum of i * i * w_i
+    n = len(s.assignment)
+    mean = Fraction(sum(s.assignment), n)
+    second = Fraction(sum(c * c for c in s.assignment), n)
     return mean, second - mean * mean
 
 
@@ -275,6 +253,11 @@ def _report(order: int, weights: tuple[int, ...], s1: int, s2: int) -> Chromatic
         var_minus=var,
         var_plus=var,
     )
+
+
+def _weighted_sum(weights: Iterable[int]) -> int:
+    """sum_i i * weights[i - 1], the colour sum of classes of these sizes."""
+    return sum(map(mul, weights, count(1)))
 
 
 def chroma_report(graph: SimpleGraph) -> ChromaticReport:

@@ -1,14 +1,15 @@
 """Brute-force reference implementations, deliberately literal and slow.
 
-Nothing here shares algorithmic code with the fast paths: arc sets are
-rebuilt pair by pair from the defining inequality, and colouring optima
-come from two searches that take a graph as a plain tuple of neighbour
-masks (bit u - 1 of ``adj[v - 1]`` is set when u ~ v), so they never see
-the interval structure that first-fit relies on.  :func:`from_edges` is
-the one maker of those masks.  An underlying Jaco graph is searched as
-``from_edges(n, arcs_by_definition(p, n))``, the graph the definition
-gives rather than the certificate the fast path reads; any other graph as
-``from_edges(g.order, g.edges())``.
+The arc sets and colourings here share no algorithmic code with the fast
+paths: arc sets are rebuilt pair by pair from the defining inequality,
+and colouring optima come from two searches that take a graph as a plain
+tuple of neighbour masks (bit u - 1 of ``adj[v - 1]`` is set when u ~ v),
+so they never see the interval structure that first-fit relies on.
+:func:`from_edges` is the one maker of those masks.  An underlying Jaco
+graph is searched as ``from_edges(n, arcs_by_definition(p, n))``, the
+graph the definition gives rather than the certificate the fast path
+reads; a certified graph ``g`` as
+``oracle.from_edges(g.order, g.edges())``.
 
 - Unpruned enumeration (:func:`exhaustive_min_sum`) takes any graph up to
   order 12; it checks the first-fit colourings of underlying Jaco graphs.
@@ -16,13 +17,19 @@ gives rather than the certificate the fast path reads; any other graph as
   near 25 and colours any graph; it checks first-fit on underlying x^2
   graphs up to order 20 in ``verify``.
 
+:func:`sweep_smallest_max_degree` does share code with the fast paths: it
+builds each order with ``builder.build`` and reads
+``invariants.underlying_degrees``.  It still checks
+``invariants.smallest_with_max_degree`` independently, as the sweep tries
+every order while the locator reads its answer off f.
+
 Tests and the verify command compare the two sides; any disagreement
 indicts the fast path.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .builder import build
 from .chroma import ProperColouring
@@ -139,6 +146,8 @@ def exhaustive_min_sum(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     sizes in non-increasing order; the reported vector is the
     lexicographically greatest one among the minimum-sum partitions.
     """
+    if not adj:
+        raise ValueError("order must be >= 1, got 0")
     if len(adj) > MAX_EXHAUSTIVE_ORDER:
         raise OrderTooLargeError(f"exhaustive oracle capped at order {MAX_EXHAUSTIVE_ORDER}")
     chi = _chi_by_enumeration(adj)
@@ -155,23 +164,6 @@ def exhaustive_min_sum(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return best_sum, best_weights
 
 
-class _Budget:
-    __slots__ = ("limit", "left", "order", "k")
-
-    def __init__(self, limit: int, order: int):
-        self.limit = self.left = limit
-        self.order = order
-        self.k = 0  # set by each partition search, for the error
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise SearchBudgetExceededError(
-                f"exact search on {self.order} vertices with k = {self.k}"
-                f" spent its node budget of {self.limit}"
-            )
-
-
 def _greedy_clique(adj: tuple[int, ...]) -> int:
     order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
     best = 0
@@ -186,7 +178,9 @@ def _greedy_clique(adj: tuple[int, ...]) -> int:
     return best
 
 
-def _partition_search(adj: tuple[int, ...], k: int, budget: _Budget) -> ProperColouring | None:
+def _partition_search(
+    adj: tuple[int, ...], k: int, spend: Callable[[], None]
+) -> ProperColouring | None:
     """Exact minimum-sum search over colour-class partitions.
 
     Vertices are placed one at a time (most-constrained first) into an
@@ -196,19 +190,18 @@ def _partition_search(adj: tuple[int, ...], k: int, budget: _Budget) -> ProperCo
     joining the largest class for +1) cannot beat the incumbent; equal
     bounds are kept alive because ties are broken canonically at leaves.
 
-    Returns the canonical minimum-sum colouring with exactly k classes, or
-    None when there is none.
+    Each node visited calls ``spend``.  Returns the canonical minimum-sum
+    colouring with exactly k classes, or None when there is none.
     """
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     conflicts: list[int] = []  # per class, the vertices it may not take
     members: list[list[int]] = []
     best = None  # (sum, negated weights, assignment) of the incumbent
-    budget.k = k
 
     def place(pos: int) -> None:
         nonlocal best
-        budget.spend()
+        spend()
         remaining = n - pos
         m = len(members)
         if m + remaining < k:
@@ -268,9 +261,21 @@ def partition_min_sum(
     lexicographically greatest weight vector, then the lexicographically
     smallest assignment.
     """
-    budget = _Budget(node_budget, len(adj))
+    if not adj:
+        raise ValueError("order must be >= 1, got 0")
+    left = node_budget
     k = _greedy_clique(adj)
-    while (colouring := _partition_search(adj, k, budget)) is None:
+
+    def spend() -> None:
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise SearchBudgetExceededError(
+                f"exact search on {len(adj)} vertices with k = {k}"
+                f" spent its node budget of {node_budget}"
+            )
+
+    while (colouring := _partition_search(adj, k, spend)) is None:
         k += 1
     return colouring
 

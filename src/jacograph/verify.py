@@ -148,7 +148,7 @@ def _degree_sweep(p: IncidencePolynomial, n: int) -> tuple[_Order, ...]:
     literal order-k graph, which are dropped once read: one sweep, shared by
     every law that reads it during a ``run``."""
     full = tuple(evaluate(p, m) for m in range(1, n + 1))  # the full degree f(m) of v_m
-    bounds = tuple(p.a * (2 * i - 1) + p.b for i in range(2, n + 1))
+    bounds = tuple(forward_difference_bound(p, i) for i in range(2, n + 1))
     records = []
     for g in _prefixes(p, n):
         degrees = underlying_degrees(g)
@@ -437,11 +437,11 @@ def prop_reversal_identity(cfg: VerifyConfig, res: PropertyResult) -> None:
         for n in range(1, cfg.colouring_n_max + 1):
             underlying = chroma.underlying_graph(build(p, n))
             report = chroma.chroma_report(underlying)
+            maximum = chroma.reverse_colouring(chroma.min_sum_colouring(underlying))
             res.check(
-                report.chi_minus + report.chi_plus == (report.chi + 1) * n,
+                report.chi_plus == chroma.colour_sum(maximum),
                 f"{format_polynomial(p)}, n={n}: reversal identity broken",
             )
-            maximum = chroma.reverse_colouring(chroma.min_sum_colouring(underlying))
             res.check(
                 (report.mu_plus, report.var_plus) == chroma.chromatic_stats(maximum)
                 and report.weights_max == maximum.weights,

@@ -66,7 +66,6 @@ def test_three_block_string_realization():
     s = BraidedString((4, 4, 4), (2, 2))
     g = realize(s)
     assert g.order == 8
-    assert s.vertex_count == 8
     report = chroma_report(g)
     assert report.chi == 4
 

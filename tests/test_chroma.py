@@ -29,6 +29,7 @@ from jacograph.oracle import arcs_by_definition, exhaustive_min_sum, from_edges,
 from conftest import (
     graph_masks,
     grotzsch_graph,
+    is_proper,
     mask_edges,
     non_decreasing_caps,
     polynomials,
@@ -188,20 +189,6 @@ def test_report_closed_forms_match_fraction_arithmetic(weights):
     assert (report.mu_plus, report.var_plus) == chromatic_stats(maximum)
 
 
-def test_proper_colouring_validation():
-    path = SimpleGraph.from_intervals([2, 3, 3])
-    ok = ProperColouring.from_assignment(path, (1, 2, 1))
-    assert ok.weights == (2, 1)
-    with pytest.raises(ValueError):
-        ProperColouring.from_assignment(path, (1, 1, 2))
-    with pytest.raises(ValueError):
-        ProperColouring.from_assignment(path, (1, 3, 1))  # colour 2 unused
-    with pytest.raises(ValueError, match="assignment length differs from graph order"):
-        ProperColouring.from_assignment(path, (1, 2))
-    with pytest.raises(ValueError, match="colours must be positive integers"):
-        ProperColouring.from_assignment(path, (1, 0, 1))
-
-
 @pytest.mark.parametrize("make, least", [
     pytest.param(lambda: from_edges(9, [(i, i % 9 + 1) for i in range(1, 10)]),
                  177, id="9-cycle"),
@@ -274,7 +261,7 @@ def test_certified_graphs_past_the_search_spend_no_nodes():
     # certified path colours them with no search at all
     x2 = jaco_underlying(60)
     colouring = min_sum_colouring(x2)
-    assert ProperColouring.from_assignment(x2, colouring.assignment) == colouring
+    assert is_proper(graph_masks(x2), colouring)
     assert colour_sum(colouring) == 1449
     assert chroma_report(jaco_underlying(24, parse("3"))).chi_minus == 60
     braid = realize(BraidedString((20, 15), (7,)))

@@ -341,6 +341,27 @@ def test_hope_complete_checks_the_range_above_the_literal_prime(monkeypatch):
     ]
 
 
+def test_reversal_identity_compares_the_literally_reversed_sum(monkeypatch):
+    # the last class one too big: the report's chi_plus is read off the same
+    # wrong weights, so chi_minus + chi_plus = (chi + 1) n still holds
+    first_fit = chroma.min_sum_colouring
+
+    def heavier(graph):
+        s = first_fit(graph)
+        return chroma.ProperColouring(s.assignment, s.weights[:-1] + (s.weights[-1] + 1,))
+
+    monkeypatch.setattr(chroma, "min_sum_colouring", heavier)
+    [res] = verify.run(only=("reversal-identity",))
+    assert res.checks == 144
+    assert res.failures == [
+        "x^2, n=1: reversal identity broken",
+        "x^2, n=1: reversed-colouring statistics relation broken",
+        "x^2, n=2: reversal identity broken",
+        "x^2, n=2: reversed-colouring statistics relation broken",
+        "x^2, n=3: reversal identity broken",
+    ]
+
+
 def test_verify_results_follow_the_property_order():
     cfg = verify.VerifyConfig(
         polynomials=(IncidencePolynomial(1, 0, 0),), n_max=5, colouring_n_max=3

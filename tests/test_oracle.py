@@ -67,6 +67,13 @@ def test_from_edges_masks_and_refusals():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("search", [exhaustive_min_sum, partition_min_sum])
+def test_searches_refuse_an_empty_graph_as_from_edges_does(search):
+    with pytest.raises(ValueError) as info:
+        search(())
+    assert str(info.value) == "order must be >= 1, got 0"
+
+
 def test_exhaustive_min_sum_path():
     path = from_edges(3, [(1, 2), (2, 3)])
     assert exhaustive_min_sum(path) == (4, (2, 1))
