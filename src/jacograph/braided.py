@@ -75,14 +75,10 @@ def realize(s: BraidedString) -> SimpleGraph:
 
 
 def _check_two_block(n: int, m: int, l: int) -> tuple[int, int, int]:
-    """Normalize so m <= n and validate 0 <= l <= m."""
-    if n < 1 or m < 1:
-        raise InvalidBraidError(f"block sizes must be >= 1, got ({n}, {m})")
-    if m > n:
-        n, m = m, n
-    if not 0 <= l <= m:
-        raise InvalidBraidError(f"overlap must lie in 0..{m}, got {l}")
-    return n, m, l
+    """Validate K_n braided with K_m on K_l as a :class:`BraidedString`,
+    then normalize so m <= n."""
+    BraidedString((n, m), (l,))
+    return max(n, m), min(n, m), l
 
 
 def mu_min_two_block(n: int, m: int, l: int) -> Fraction:

@@ -6,11 +6,14 @@ constant/linear oracle polynomials), with brute-force oracles on the small
 orders.  The runner reports one line per property; any counterexample
 fails the run.
 
-Properties are named only in ``PROPERTIES``: ``run`` creates each
+Properties are named only in ``PROPERTIES``, which also holds each law's
+family (every incidence polynomial, quadratic incidence, or x^2 alone)
+and whether it sweeps every prefix.  ``run`` creates each
 :class:`PropertyResult` and passes it in, and a property records its
-checks and notes on it.  ``run`` skips, with a note, the laws stated for
-x^2 alone when x^2 is not selected.  Laws stated order by order read the
-order-k graphs as prefixes of one build, sliced by ``_prefixes``.
+checks and notes on it.  ``run`` runs a law selected twice once, and
+skips, with a note, a law whose family the polynomial selection does not
+hold.  Laws stated order by order read the order-k graphs as prefixes of
+one build, sliced by ``_prefixes``.
 
 Eight of them read one small record per order k, made once per polynomial
 in a ``run`` from the literal underlying degrees of the order-k graph: k
@@ -20,8 +23,9 @@ prime has degree f(prime) and every earlier vertex m has f(m); and whether
 some step |d_i - d_(i-1)| exceeds a(2i-1)+b.  Each prefix's degree tuple
 is dropped once its record is made, so only one is alive at a time and a
 run holds O(n) per polynomial.  Those eight and ``completeness-threshold``
-build every order up to ``n_max``, so ``run`` refuses an ``n_max`` above
-the definitional oracle's cap whenever one of them is selected.
+sweep every prefix, building every order up to ``n_max``, so ``run``
+refuses an ``n_max`` above the definitional oracle's cap whenever one of
+them is selected.
 """
 
 from __future__ import annotations
@@ -110,9 +114,6 @@ class VerifyConfig:
 
     def oracle_polys(self) -> tuple[IncidencePolynomial, ...]:
         return ORACLE_POLYS if self.polynomials is None else self.structural_polys()
-
-    def includes_x_squared(self) -> bool:
-        return self.polynomials is None or X_SQUARED in self.polynomials
 
 
 class _Order(NamedTuple):
@@ -236,7 +237,7 @@ def prop_outdegree_distinct(cfg: VerifyConfig, res: PropertyResult) -> None:
         )
         if not all(outs[i] < outs[i + 1] for i in range(len(outs) - 1)):
             strict_everywhere = False
-    if strict_everywhere and cfg.quadratic_polys():
+    if strict_everywhere:
         res.notes.append("root out-degrees were strictly increasing in every checked graph")
 
 
@@ -385,12 +386,15 @@ def prop_component_structure(cfg: VerifyConfig, res: PropertyResult) -> None:
         comps = component_decomposition(g)
         scanned = comps == _scanned_components(g)
         if classify(p) is FamilyClass.CONSTANT:
+            # blocks of c + 1, the last maybe smaller, each complete: every
+            # vertex reaches the last vertex of its block
             size = p.c + 1
-            expected = [
-                range(s, min(s + size, n + 1)) for s in range(1, n + 1, size)
-            ]
+            blocks = (
+                all(len(comp) == size for comp in comps[:-1]) and len(comps[-1]) <= size
+                and all(min(g.reaches[u - 1], n) >= comp[-1] for comp in comps for u in comp)
+            )
             res.check(
-                scanned and comps == expected,
+                scanned and blocks,
                 f"{format_polynomial(p)}: constant components are not consecutive K_{size} blocks",
             )
         else:
@@ -538,80 +542,65 @@ def prop_jaconian_contiguity(cfg: VerifyConfig, res: PropertyResult) -> None:
             )
 
 
-PROPERTIES = (
-    ("forward-difference", prop_forward_difference),
-    ("parse-roundtrip", prop_parse_roundtrip),
-    ("definitional-replay", prop_definitional_replay),
-    ("reach-monotone", prop_reach_monotone),
-    ("indegree-steps", prop_indegree_steps),
-    ("outdegree-distinct", prop_outdegree_distinct),
-    ("truncation-coherence", prop_truncation_coherence),
-    ("delta-monotone", prop_delta_monotone),
-    ("min-degree-bound", prop_min_degree_bound),
-    ("prime-full-degree-prefix", prop_prime_full_degree_prefix),
-    ("milestone-prime", prop_milestone_prime),
-    ("completeness-threshold", prop_completeness_threshold),
-    ("degree-jump-bound", prop_degree_jump_bound),
-    ("jaconian-plateau", prop_jaconian_plateau),
-    ("hope-complete", prop_hope_complete),
-    ("smallest-max-degree-locator", prop_locator),
-    ("component-structure", prop_component_structure),
-    ("oracle-colouring", prop_oracle_colouring),
-    ("complete-graph-sums", prop_complete_graph_sums),
-    ("reversal-identity", prop_reversal_identity),
-    ("greedy-agreement", prop_greedy_agreement),
-    ("braided-closed-forms", prop_braided_closed_forms),
-    ("weight-evolution", prop_weight_evolution),
-    ("variance-symmetry", prop_variance_symmetry),
-    ("jaconian-contiguity", prop_jaconian_contiguity),
-)
-
-
-# the laws stated for the reference family only
-_X_SQUARED_ONLY = {"jaconian-plateau", "greedy-agreement", "weight-evolution", "variance-symmetry"}
-
-# the laws that build every order up to --n, in time quadratic in it
-_PREFIX_SWEEPS = {
-    "delta-monotone", "min-degree-bound", "prime-full-degree-prefix", "milestone-prime",
-    "completeness-threshold", "degree-jump-bound", "jaconian-plateau", "hope-complete",
-    "jaconian-contiguity",
+# each law, the family it is stated for (None: every incidence polynomial)
+# and whether it builds every order up to --n, in time quadratic in it
+PROPERTIES = {
+    "forward-difference": (prop_forward_difference, None, False),
+    "parse-roundtrip": (prop_parse_roundtrip, None, False),
+    "definitional-replay": (prop_definitional_replay, None, False),
+    "reach-monotone": (prop_reach_monotone, None, False),
+    "indegree-steps": (prop_indegree_steps, "quadratic incidence", False),
+    "outdegree-distinct": (prop_outdegree_distinct, "quadratic incidence", False),
+    "truncation-coherence": (prop_truncation_coherence, None, False),
+    "delta-monotone": (prop_delta_monotone, None, True),
+    "min-degree-bound": (prop_min_degree_bound, None, True),
+    "prime-full-degree-prefix": (prop_prime_full_degree_prefix, None, True),
+    "milestone-prime": (prop_milestone_prime, "quadratic incidence", True),
+    "completeness-threshold": (prop_completeness_threshold, None, True),
+    "degree-jump-bound": (prop_degree_jump_bound, "quadratic incidence", True),
+    "jaconian-plateau": (prop_jaconian_plateau, "x^2", True),
+    "hope-complete": (prop_hope_complete, "quadratic incidence", True),
+    "smallest-max-degree-locator": (prop_locator, "quadratic incidence", False),
+    "component-structure": (prop_component_structure, None, False),
+    "oracle-colouring": (prop_oracle_colouring, None, False),
+    "complete-graph-sums": (prop_complete_graph_sums, None, False),
+    "reversal-identity": (prop_reversal_identity, None, False),
+    "greedy-agreement": (prop_greedy_agreement, "x^2", False),
+    "braided-closed-forms": (prop_braided_closed_forms, None, False),
+    "weight-evolution": (prop_weight_evolution, "x^2", False),
+    "variance-symmetry": (prop_variance_symmetry, "x^2", False),
+    "jaconian-contiguity": (prop_jaconian_contiguity, None, True),
 }
 
 
 def available_properties() -> tuple[str, ...]:
-    return tuple(name for name, _ in PROPERTIES)
+    return tuple(PROPERTIES)
 
 
 def run(cfg: VerifyConfig | None = None, only: tuple[str, ...] | None = None) -> list[PropertyResult]:
     cfg = cfg or VerifyConfig()
-    selected = []
-    if only:
-        known = dict(PROPERTIES)
-        for name in only:
-            if name not in known:
-                raise ValueError(
-                    f"unknown property {name!r}; known: {', '.join(available_properties())}"
-                )
-            selected.append((name, known[name]))
-    else:
-        selected = list(PROPERTIES)
+    selected = dict.fromkeys(only or PROPERTIES)
+    for name in selected:
+        if name not in PROPERTIES:
+            raise ValueError(f"unknown property {name!r}; known: {', '.join(PROPERTIES)}")
     # an order an oracle caps is refused before any property runs, not after
     # all the others have
-    funcs = {func for _, func in selected}
-    if prop_oracle_colouring in funcs and cfg.colouring_n_max > oracle.MAX_EXHAUSTIVE_ORDER:
+    if "oracle-colouring" in selected and cfg.colouring_n_max > oracle.MAX_EXHAUSTIVE_ORDER:
         raise OrderTooLargeError(f"exhaustive oracle capped at order {oracle.MAX_EXHAUSTIVE_ORDER}")
-    if prop_truncation_coherence in funcs and cfg.n_max > oracle.MAX_DEFINITIONAL_ORDER:
+    if "truncation-coherence" in selected and cfg.n_max > oracle.MAX_DEFINITIONAL_ORDER:
         raise OrderTooLargeError(f"definitional oracle capped at {oracle.MAX_DEFINITIONAL_ORDER}")
-    if cfg.n_max > oracle.MAX_DEFINITIONAL_ORDER and any(name in _PREFIX_SWEEPS for name, _ in selected):
+    if cfg.n_max > oracle.MAX_DEFINITIONAL_ORDER and any(PROPERTIES[name][2] for name in selected):
         raise OrderTooLargeError(f"prefix sweep capped at {oracle.MAX_DEFINITIONAL_ORDER}")
+    quadratic = cfg.quadratic_polys()
     results = []
     try:
-        for name, func in selected:
+        for name in selected:
+            law, family, _ = PROPERTIES[name]
             res = PropertyResult(name)
-            if name in _X_SQUARED_ONLY and not cfg.includes_x_squared():
-                res.notes.append("defined for x^2 only; skipped for this polynomial selection")
+            if family and (not quadratic or family == "x^2" and X_SQUARED not in quadratic):
+                res.notes.append(f"defined for {family} only; skipped for this polynomial selection")
             else:
-                func(cfg, res)
+                law(cfg, res)
             results.append(res)
     finally:
         _degree_sweep.cache_clear()

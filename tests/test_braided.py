@@ -92,10 +92,14 @@ def test_mu_closed_forms_swap_arguments():
 
 
 def test_mu_invalid_overlap():
-    with pytest.raises(InvalidBraidError):
+    # the closed forms refuse what BraidedString refuses, in its words
+    with pytest.raises(InvalidBraidError,
+                       match=r"^overlap 1 must lie in 0\.\.min\(n_1, n_2\) = 5, got 6$"):
         mu_min_two_block(7, 5, 6)
-    with pytest.raises(InvalidBraidError):
+    with pytest.raises(InvalidBraidError, match="^block 1 must have size >= 1, got 0$"):
         mu_max_two_block(0, 5, 0)
+    with pytest.raises(InvalidBraidError, match=f"^block 2 size {2**64} exceeds the 64-bit range$"):
+        mu_max_two_block_superseded(5, 2**64, 1)
 
 
 def test_superseded_form_disagrees_on_worked_example():

@@ -279,6 +279,28 @@ def test_verify_restricted_polynomial(capsys):
                        "variance-symmetry"]
 
 
+_QUADRATIC_ONLY = ["indegree-steps", "outdegree-distinct", "milestone-prime", "degree-jump-bound",
+                   "hope-complete", "smallest-max-degree-locator"]
+
+
+def test_verify_skips_the_quadratic_laws_with_a_note_without_a_quadratic(capsys):
+    note = ": defined for quadratic incidence only; skipped for this polynomial selection"
+    code, out, _ = run(capsys, "verify", "--f", "5", "--n", "10", "--colouring-n", "4")
+    assert code == 0
+    assert [line.split(":")[0].split()[1] for line in out.splitlines()
+            if line.endswith(note)] == _QUADRATIC_ONLY
+    for res in verify.run(verify.VerifyConfig(polynomials=(IncidencePolynomial(0, 1, 0),), n_max=10,
+                                              colouring_n_max=4), tuple(_QUADRATIC_ONLY)):
+        assert (res.checks, res.notes) == (0, [note[2:]])
+
+
+def test_verify_runs_a_repeated_property_once(capsys):
+    code, out, _ = run(capsys, "verify", "--prop", "parse-roundtrip", "--prop", "parse-roundtrip",
+                       "--n", "5")
+    assert code == 0
+    assert out == "ok   parse-roundtrip              checks=33\nall 1 properties passed (33 checks)\n"
+
+
 def test_verify_checks_a_repeated_polynomial_once(capsys):
     repeated = run(capsys, "verify", "--f", "x^2", "--f", "1*x^2", "--n", "5")
     assert repeated == run(capsys, "verify", "--f", "x^2", "--n", "5")
@@ -339,6 +361,24 @@ def test_hope_complete_checks_the_range_above_the_literal_prime(monkeypatch):
     assert res.failures == [
         "x^2: Hope subgraph is not the complete range above the prime at order 2"
     ]
+
+
+def test_component_structure_checks_every_constant_block_is_complete(monkeypatch):
+    # v_1 of constant 3 stops one short of v_4: the blocks and the scan of
+    # the reaches are unchanged, but the first block is no longer K_4
+    built = verify.build
+    three = IncidencePolynomial(0, 0, 3)
+
+    def shortened(p, n):
+        g = built(p, n)
+        if p != three:
+            return g
+        return builder.JacoGraph(p, n, g.in_degrees, (g.reaches[0] - 1,) + g.reaches[1:])
+
+    monkeypatch.setattr(verify, "build", shortened)
+    [res] = verify.run(only=("component-structure",))
+    assert res.checks == 29
+    assert res.failures == ["3: constant components are not consecutive K_4 blocks"]
 
 
 def test_reversal_identity_compares_the_literally_reversed_sum(monkeypatch):
