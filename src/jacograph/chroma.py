@@ -237,13 +237,17 @@ def _closed_forms(
             Fraction(order * s2 - s1 * s1, order * order))
 
 
-def _report(order: int, weights: tuple[int, ...], s1: int, s2: int) -> ChromaticReport:
-    """The report of a minimum-sum colouring with class sizes ``weights``
-    (see :func:`_closed_forms`)."""
-    chi = len(weights)
-    chi_plus, mu_minus, mu_plus, var = _closed_forms(order, chi, s1, s2)
+def chroma_report(graph: SimpleGraph) -> ChromaticReport:
+    """Full chromatic-sum report of the minimum-sum colouring of a certified
+    graph: the colour sum s1 and squared-colour sum s2 of its class sizes,
+    and the rest from :func:`_closed_forms`."""
+    weights = min_sum_colouring(graph).weights
+    colour_sums = tuple(map(mul, weights, count(1)))  # j * theta(c_j)
+    s1 = sum(colour_sums)
+    chi_plus, mu_minus, mu_plus, var = _closed_forms(
+        graph.order, len(weights), s1, sum(map(mul, colour_sums, count(1))))
     return ChromaticReport(
-        chi=chi,
+        chi=len(weights),
         chi_minus=s1,
         chi_plus=chi_plus,
         weights_min=weights,
@@ -255,27 +259,14 @@ def _report(order: int, weights: tuple[int, ...], s1: int, s2: int) -> Chromatic
     )
 
 
-def _weighted_sum(weights: Iterable[int]) -> int:
-    """sum_i i * weights[i - 1], the colour sum of classes of these sizes."""
-    return sum(map(mul, weights, count(1)))
-
-
-def chroma_report(graph: SimpleGraph) -> ChromaticReport:
-    """Full chromatic-sum report of the minimum-sum colouring of a certified
-    graph."""
-    weights = min_sum_colouring(graph).weights
-    return _report(graph.order, weights, _weighted_sum(weights),
-                   _weighted_sum(map(mul, weights, count(1))))
-
-
 def _prefix_reports(graph: SimpleGraph) -> Iterator[tuple[int, list[int], int, int]]:
-    """The arguments of :func:`_report` for ``chroma_report`` of the prefix
-    1..k of a certified graph, for k = 1..order, all read off one
-    :func:`min_sum_colouring` of the whole graph, as first-fit colours each
-    prefix as it colours the whole (see the module docstring): k, the class
-    sizes, the colour sum and the squared-colour sum.  The class sizes are
-    one running list, valid until the next row, so a row costs O(1) unless
-    its caller copies them."""
+    """For k = 1..order, what :func:`_closed_forms` reads the
+    ``chroma_report`` of the prefix 1..k of a certified graph from, all read
+    off one :func:`min_sum_colouring` of the whole graph, as first-fit
+    colours each prefix as it colours the whole (see the module docstring):
+    k, the class sizes (chi is their count), the colour sum and the
+    squared-colour sum.  The class sizes are one running list, valid until
+    the next row, so a row costs O(1) unless its caller copies them."""
     weights, s1, s2 = [], 0, 0
     for k, colour in enumerate(min_sum_colouring(graph).assignment, start=1):
         if colour > len(weights):

@@ -427,20 +427,12 @@ def _build_parser() -> _Parser:
     t1 = sub.add_parser("table1", help="construction table: degrees, Jaconian sets, distances")
     t1.add_argument("--f", required=True, help="incidence polynomial, e.g. x^2 or 2*x^2+3*x+1")
     t1.add_argument("--n", type=_int, required=True, help="largest order to tabulate")
-    t1.add_argument("--show-paper-errata", action="store_true",
-                    help="append originally published values where they differ")
-    t1.add_argument("--out", help="output path (default: standard output)")
-    t1.set_defaults(func=cmd_table1)
 
     t3 = sub.add_parser("table3", help="chromatic-sum table: sums, means, variances")
     t3.add_argument("--f", required=True, help="incidence polynomial")
     t3.add_argument("--n", type=_int, required=True, help="largest order to tabulate")
     t3.add_argument("--weights", action="store_true",
                     help="also emit the canonical minimum/maximum colour-weight vectors")
-    t3.add_argument("--show-paper-errata", action="store_true",
-                    help="append originally published values where they differ")
-    t3.add_argument("--out", help="output path (default: standard output)")
-    t3.set_defaults(func=cmd_table3)
 
     br = sub.add_parser("braided", help="analyse a string of braided complete graphs")
     br.add_argument("--orders", required=True, help="block sizes, e.g. 7,5")
@@ -448,10 +440,6 @@ def _build_parser() -> _Parser:
     br.add_argument("--format", choices=("tsv", "dot"), default="tsv")
     br.add_argument("--erratum", action="store_true",
                     help="append the superseded two-block closed-form value")
-    br.add_argument("--show-paper-errata", action="store_true",
-                    help="append originally published values where they differ")
-    br.add_argument("--out", help="output path (default: standard output)")
-    br.set_defaults(func=cmd_braided)
 
     ve = sub.add_parser("verify", help="run the property suites over the coefficient grid")
     ve.add_argument("--f", action="append",
@@ -461,8 +449,6 @@ def _build_parser() -> _Parser:
     ve.add_argument("--n", type=_int, default=200, help="structural grid order bound (default 200)")
     ve.add_argument("--colouring-n", type=_int, default=12,
                     help="colouring-oracle order bound (default 12)")
-    ve.add_argument("--out", help="output path (default: standard output)")
-    ve.set_defaults(func=cmd_verify)
 
     ex = sub.add_parser("export", help="export a graph as JSON or DOT")
     ex.add_argument("--f", required=True, help="incidence polynomial")
@@ -472,8 +458,15 @@ def _build_parser() -> _Parser:
     ex.add_argument("--arcs", action="store_true", help="include the arc list in JSON output")
     ex.add_argument("--arc-budget", type=_int, default=DEFAULT_ARC_BUDGET,
                     help="largest arc count to materialize")
-    ex.add_argument("--out", help="output path (default: standard output)")
-    ex.set_defaults(func=cmd_export)
+
+    # the shared options close each subcommand's list, --out last
+    for table in (t1, t3, br):
+        table.add_argument("--show-paper-errata", action="store_true",
+                           help="append originally published values where they differ")
+    for command, func in ((t1, cmd_table1), (t3, cmd_table3), (br, cmd_braided),
+                          (ve, cmd_verify), (ex, cmd_export)):
+        command.add_argument("--out", help="output path (default: standard output)")
+        command.set_defaults(func=func)
     return parser
 
 

@@ -113,15 +113,11 @@ def parse(text: str) -> IncidencePolynomial:
     term.
     """
     coeffs: dict[str, int] = {}
-    pos = 0
-    length = len(text)
-    while True:
-        end = text.find("+", pos)
-        if end < 0:
-            end = length
-        term = text[pos:end].lstrip()
-        start = end - len(term)
-        compact = "".join(term.split())  # split() and lstrip() drop what \s matches
+    pos = 0  # offset of the current term
+    for part in text.split("+"):
+        start = pos + len(part) - len(part.lstrip())
+        pos += len(part) + 1  # skip '+'
+        compact = "".join(part.split())  # split() and lstrip() drop what \s matches
         if not compact:
             raise PolynomialParseError("empty term", start)
         for pattern, key in _TERM_PATTERNS:
@@ -139,7 +135,4 @@ def parse(text: str) -> IncidencePolynomial:
                 break
         else:
             raise PolynomialParseError(f"unrecognized term {compact!r}", start)
-        if end == length:
-            break
-        pos = end + 1  # skip '+'
     return IncidencePolynomial(coeffs.get("a", 0), coeffs.get("b", 0), coeffs.get("c", 0))

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from jacograph import (
     BraidedString,
+    ChromaticReport,
     IncidencePolynomial,
     ProperColouring,
     SearchBudgetExceededError,
@@ -24,7 +25,7 @@ from jacograph import (
     reverse_colouring,
     underlying_graph,
 )
-from jacograph.chroma import _prefix_reports, _report
+from jacograph.chroma import _closed_forms, _prefix_reports
 from jacograph.oracle import arcs_by_definition, exhaustive_min_sum, from_edges, partition_min_sum
 from conftest import (
     graph_masks,
@@ -142,9 +143,18 @@ def test_chroma_report_examples():
     assert (three.chi_minus, three.chi_plus) == (4, 5)
 
 
+def closed_form_report(order, weights, s1, s2):
+    """The report of a minimum-sum colouring with class sizes ``weights``,
+    colour sum ``s1`` and squared-colour sum ``s2``, by ``_closed_forms``."""
+    chi_plus, mu_minus, mu_plus, var = _closed_forms(order, len(weights), s1, s2)
+    return ChromaticReport(len(weights), s1, chi_plus, weights, weights[::-1],
+                           mu_minus, mu_plus, var, var)
+
+
 def prefix_reports(graph):
     """Every prefix's report, from a copy of the running class sizes."""
-    return [_report(k, tuple(weights), s1, s2) for k, weights, s1, s2 in _prefix_reports(graph)]
+    return [closed_form_report(k, tuple(weights), s1, s2)
+            for k, weights, s1, s2 in _prefix_reports(graph)]
 
 
 @pytest.mark.parametrize("p", [
@@ -180,13 +190,11 @@ def test_report_closed_forms_match_fraction_arithmetic(weights):
     maximum = reverse_colouring(minimum)
     s1 = sum(c * w for c, w in enumerate(weights, start=1))
     s2 = sum(c * c * w for c, w in enumerate(weights, start=1))
-    report = _report(len(minimum.assignment), weights, s1, s2)
-    assert (report.chi, report.weights_min, report.weights_max) == (
-        len(weights), weights, maximum.weights
-    )
-    assert (report.chi_minus, report.chi_plus) == (colour_sum(minimum), colour_sum(maximum))
-    assert (report.mu_minus, report.var_minus) == chromatic_stats(minimum)
-    assert (report.mu_plus, report.var_plus) == chromatic_stats(maximum)
+    n = len(minimum.assignment)
+    chi_plus, mu_minus, mu_plus, var = _closed_forms(n, len(weights), s1, s2)
+    assert (s1, chi_plus) == (colour_sum(minimum), colour_sum(maximum))
+    assert (mu_minus, var) == chromatic_stats(minimum)
+    assert (mu_plus, var) == chromatic_stats(maximum)
 
 
 @pytest.mark.parametrize("make, least", [

@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -730,17 +732,43 @@ def test_out_naming_a_directory_is_an_output_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["verify"], ["table1", "--f", "x^2", "--n", "3"]])
-@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize("where", ["missing", "directory", "under-a-file"])
 def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, where):
     def refuse(*args, **kwargs):
         raise AssertionError("the command computed before it checked --out")
 
     monkeypatch.setattr(cli, "run_verify", refuse)
     monkeypatch.setattr(cli, "construction_table", refuse)
-    target = tmp_path / "missing" / "out.txt" if where == "missing" else tmp_path
+    blocker = tmp_path / "FILE"
+    blocker.write_text("kept\n")
+    target, refusal = {"missing": (tmp_path / "missing" / "out.txt", errno.ENOENT),
+                       "directory": (tmp_path, errno.EISDIR),
+                       "under-a-file": (blocker / "out.txt", errno.ENOTDIR)}[where]
     code, out, err = run(capsys, *argv, "--out", str(target))
     _assert_one_output_error(code, err)
+    assert f"[Errno {refusal}] {os.strerror(refusal)}: {str(target)!r}" in err
     assert out == ""
+    assert blocker.read_text() == "kept\n"
+
+
+_OPTIONS = {
+    "table1": "-h --f --n --show-paper-errata --out",
+    "table3": "-h --f --n --weights --show-paper-errata --out",
+    "braided": "-h --orders --overlaps --format --erratum --show-paper-errata --out",
+    "verify": "-h --f --prop --n --colouring-n --out",
+    "export": "-h --f --n --format --arcs --arc-budget --out",
+}
+
+
+@pytest.mark.parametrize("command", _OPTIONS)
+def test_each_subcommand_lists_its_options_in_order(capsys, command):
+    # the shared options are added in loops after each subcommand's own;
+    # names only, as argparse wraps the help text differently by version
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = re.findall(r"(?m)^  (--?[\w-]+)", capsys.readouterr().out)
+    assert listed == _OPTIONS[command].split()
 
 
 def _python(args, **kwargs):

@@ -159,6 +159,10 @@ def test_deep_braid_search_ends_in_budget_error():
                        match="^partition search on 1199 vertices exceeds the recursion limit$"):
         partition_min_sum(graph_masks(braid))
     assert min_sum_colouring(braid).k == 600
+    # edgeless: one class takes every vertex at k = 1 and no bound cuts
+    with pytest.raises(SearchBudgetExceededError,
+                       match="^partition search on 3000 vertices exceeds the recursion limit$"):
+        partition_min_sum(from_edges(3000, []))
 
 
 def test_sweep_examples():
