@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count, cycle, islice
+from itertools import accumulate, chain, count, cycle, islice, takewhile
 from operator import sub
 from typing import Iterator, Sequence
 from weakref import WeakValueDictionary
@@ -112,7 +112,9 @@ def _blocks(
     its own tuples of v_1..v_m.
 
     Between blocks only the reach sequences that can still mark a vertex
-    are kept: one is dropped once all its reaches fall below the block."""
+    are kept: one is dropped once all its reaches fall below the block.
+    A block's marks are read off the kept sequences in order, up to the
+    first whose reaches all lie past the block."""
     a, b, c = p.a, p.b, p.c
     lo = 1
     if start is not None:
@@ -148,7 +150,9 @@ def _blocks(
         while known[0][-1] < base:
             del known[0]
         marks = bytearray(hi - lo)  # mark(i) at i - base, for i in base..hi-2
-        for r in known:  # sliced: islice would step through a built graph's reaches
+        # reaches rise, so no sequence from the first that starts at hi - 1
+        # on holds a mark; each is sliced, as islice would step through it
+        for r in takewhile(lambda r: r[0] < hi - 1, known):
             for x in r[bisect_left(r, base):bisect_left(r, hi - 1)]:
                 marks[x - base] = 1
         d = list(accumulate(marks.translate(_FLIP), initial=d[-1]))
@@ -204,7 +208,9 @@ def root_stream(p: IncidencePolynomial) -> Iterator[tuple[int, int, int]]:
     computed beyond what the consumer takes.  Memory is that block plus the
     reaches that can still mark a later vertex, about the next in-degree in
     number: the reaches are kept in their blocks, and a block of them is
-    dropped once all of them fall below the block being made.  The stream
+    dropped once all of them fall below the block being made.  Each new
+    block reads its marks off the kept blocks up to the first whose reaches
+    all lie past it, so it slices only the few blocks it overlaps.  The stream
     raises :class:`ArithmeticOverflowError` at the first i where f(i) + i
     leaves the 64-bit range, after yielding every earlier record.
     """

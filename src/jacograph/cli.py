@@ -56,7 +56,7 @@ from .errors import (
 )
 from .incidence import parse
 from .invariants import construction_table
-from .verify import X_SQUARED, VerifyConfig, available_properties, run as run_verify
+from .verify import PROPERTIES, X_SQUARED, VerifyConfig, run as run_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,10 +80,6 @@ class _Parser(argparse.ArgumentParser):
             if isinstance(value, list) and (not value or [] in value):
                 self.error(f"argument --{name.replace('_', '-')}: '--' is not a value")
         return parsed
-
-
-def _fmt_weights(weights: Iterable[int]) -> str:
-    return ",".join(map(str, weights))
 
 
 def _write(args, pieces: Iterable[str]) -> None:
@@ -251,8 +247,8 @@ def cmd_table3(args) -> int:
             cells = (str(s1), chi_plus, mu_minus, mu_plus, var, var)
             fields = [str(i), *cells]
             if args.weights:  # the only columns that cost O(chi) a row
-                fields.append(_fmt_weights(weights))
-                fields.append(_fmt_weights(reversed(weights)))
+                fields.append(",".join(map(str, weights)))
+                fields.append(",".join(map(str, reversed(weights))))
             if args.show_paper_errata:
                 published = _PUBLISHED_TABLE3_X2.get(i) if p == X_SQUARED else None
                 fields.append(_errata_cell(published, _TABLE3_COLUMNS, cells))
@@ -445,7 +441,7 @@ def _build_parser() -> _Parser:
     ve.add_argument("--f", action="append",
                     help="restrict to this polynomial (repeatable)")
     ve.add_argument("--prop", action="append", metavar="NAME",
-                    help=f"run only this property (repeatable); known: {', '.join(available_properties())}")
+                    help=f"run only this property (repeatable); known: {', '.join(PROPERTIES)}")
     ve.add_argument("--n", type=_int, default=200, help="structural grid order bound (default 200)")
     ve.add_argument("--colouring-n", type=_int, default=12,
                     help="colouring-oracle order bound (default 12)")

@@ -85,32 +85,30 @@ def underlying_degrees(g: JacoGraph) -> tuple[int, ...]:
 
 def _chain_break(p: IncidencePolynomial) -> int | None:
     """The first t with reach(t) <= t, where the stepwise chain
-    v1 -> v2 -> ... breaks, or None when it never does."""
+    v1 -> v2 -> ... breaks, or None when it never does, that is when
+    a + b >= 1: the module's one test for constant incidence."""
     return p.c + 1 if p.a == p.b == 0 else None
 
 
-def _distance(n: int, h: int, chain_break: int | None) -> int | None:
-    """The v1-distance: h (0 if n = 1), or None when the chain breaks below h."""
-    if chain_break is not None and chain_break < h:
-        return None
-    return h if n > 1 else 0
-
-
 def _read_off(
-    n: int, indeg: Sequence[int], reaches: Sequence[int], p: IncidencePolynomial
-) -> tuple[int, int, int, int]:
-    """(h, Delta, lo, hi) of the order-n graph of incidence ``p`` whose vertex
-    data start ``indeg`` and ``reaches`` (they may run on past n):
-    h = n - indeg(n), the maximum degree Delta and the Jaconian run lo..hi,
-    each read off in O(1) as the module docstring proves."""
+    n: int, indeg: Sequence[int], reaches: Sequence[int], chain_break: int | None
+) -> tuple[int, int, int, int | None]:
+    """(Delta, lo, hi, distance) of the order-n graph whose vertex data start
+    ``indeg`` and ``reaches`` (they may run on past n) and whose stepwise
+    chain breaks at ``chain_break``, as :func:`_chain_break` gives it: the
+    maximum degree Delta, the Jaconian run lo..hi and the v1-distance, each
+    read off h = n - indeg(n) in O(1) as the module docstring proves.  The
+    distance is h (0 if n = 1), or None when the chain breaks below h."""
     h = n - indeg[n - 1]
     top, lo = indeg[h - 1] + n - h, h  # v_h reaches v_n
     if h > 1:
         below = indeg[h - 2] + reaches[h - 2] - h + 1  # f(h - 1)
         if below >= top:
-            top, lo = below, (h - 1 if p.a or p.b else 1)
+            top, lo = below, (h - 1 if chain_break is None else 1)
     hi = min(n, reaches[n - top - 1])
-    return h, top, lo, hi
+    if chain_break is not None and chain_break < h:
+        return top, lo, hi, None
+    return top, lo, hi, (h if n > 1 else 0)
 
 
 def jaconian(g: JacoGraph) -> InvariantReport:
@@ -119,14 +117,14 @@ def jaconian(g: JacoGraph) -> InvariantReport:
     h, h - 1 or v_1 and ends at min(n, reach(n - Delta)), all with no search.
     Only the ``jaconian_set`` tuple costs time in its length."""
     n, indeg, reaches = g.n, g.in_degrees, g.reaches
-    h, top, lo, hi = _read_off(n, indeg, reaches, g.incidence)
+    top, lo, hi, distance = _read_off(n, indeg, reaches, _chain_break(g.incidence))
     return InvariantReport(
         max_degree=top,
         min_degree=min(indeg[0] + min(reaches[0], n) - 1, indeg[n - 1]),
         jaconian_set=tuple(range(lo, hi + 1)),
         prime_jaconian=lo,
         hope_range=range(lo + 1, n + 1),
-        v1_distance=_distance(n, h, _chain_break(g.incidence)),
+        v1_distance=distance,
     )
 
 
@@ -140,7 +138,7 @@ def hope_subgraph(g: JacoGraph) -> range:
     is asserted here and :class:`HopeNotCompleteError` raised if it fails,
     e.g. for constant incidence once the graph splits into components.
     """
-    _, _, prime, _ = _read_off(g.n, g.in_degrees, g.reaches, g.incidence)
+    _, prime, _, _ = _read_off(g.n, g.in_degrees, g.reaches, _chain_break(g.incidence))
     lo = prime + 1
     # reaches never decrease, so vertex lo has the shortest reach in lo..n-1
     if lo < g.n and g.reaches[lo - 1] < g.n:
@@ -224,8 +222,7 @@ def construction_table(p: IncidencePolynomial, n: int) -> Iterator[ConstructionR
     indeg, reaches = full.in_degrees, full.reaches
     chain_break = _chain_break(p)
     for k in range(1, n + 1):
-        h, top, lo, hi = _read_off(k, indeg, reaches, p)
+        top, lo, hi, distance = _read_off(k, indeg, reaches, chain_break)
         yield ConstructionRow(
-            k, indeg[k - 1], reaches[k - 1] - k, tuple(range(lo, hi + 1)), top,
-            _distance(k, h, chain_break),
+            k, indeg[k - 1], reaches[k - 1] - k, tuple(range(lo, hi + 1)), top, distance
         )

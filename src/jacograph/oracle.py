@@ -153,9 +153,8 @@ def exhaustive_min_sum(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     chi = _chi_by_enumeration(adj)
     best_sum: int | None = None
     best_weights: tuple[int, ...] | None = None
+    # chi is the least k with a partition, so each has exactly chi classes
     for classes in _partitions(adj, chi):
-        if len(classes) != chi:
-            continue
         weights = tuple(sorted((len(c) for c in classes), reverse=True))
         total = _colour_sum(weights)
         if best_sum is None or total < best_sum or (total == best_sum and weights > best_weights):

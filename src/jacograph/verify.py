@@ -573,10 +573,6 @@ PROPERTIES = {
 }
 
 
-def available_properties() -> tuple[str, ...]:
-    return tuple(PROPERTIES)
-
-
 def run(cfg: VerifyConfig | None = None, only: tuple[str, ...] | None = None) -> list[PropertyResult]:
     cfg = cfg or VerifyConfig()
     selected = dict.fromkeys(only or PROPERTIES)

@@ -67,6 +67,29 @@ def deque_stream(p):
         i += 1
 
 
+def recursion_records(p, indices):
+    """Reference for a + b >= 1: the record of v_k off m(k), the number of
+    vertices whose reach falls below k.  Each such u is below k and
+    reach(u) = f(u) + 1 + m(u) strictly increases, so m(n) is the largest
+    u with f(u) + 1 + m(u) < n (0 if none), found by bisection and
+    memoized; then indeg(k) = k - 1 - m(k)."""
+    memo = {}
+
+    def m(n):
+        if n not in memo:
+            lo, hi = 0, n - 1  # m(n) lies in lo..hi
+            while lo < hi:
+                u = (lo + hi + 1) // 2
+                if evaluate(p, u) + 1 + m(u) < n:
+                    lo = u
+                else:
+                    hi = u - 1
+            memo[n] = lo
+        return memo[n]
+
+    return [(k, k - 1 - m(k), evaluate(p, k) + 1 + m(k)) for k in indices]
+
+
 def test_table_in_degrees_first_six():
     g = build(X2, 6)
     assert g.in_degrees == (0, 1, 1, 2, 3, 3)
@@ -307,6 +330,22 @@ def test_stream_agrees_with_build(p, n):
         alone = list(islice(root_stream(p), extra))
     assert alone[:n] == list(zip(count(1), g.in_degrees, g.reaches))
     assert resumed == alone
+
+
+LONG = 200_000  # 49 stream blocks past the stepped vertices
+
+
+@pytest.mark.parametrize(
+    "p",
+    [X2, IncidencePolynomial(3, 2, 2), IncidencePolynomial(0, 1, 0), IncidencePolynomial(0, 2, 1)],
+)
+def test_long_stream_and_build_match_the_recursion_on_m(no_live_builds, p):
+    indices = [*range(1, LONG, 997), LONG]
+    expected = recursion_records(p, indices)
+    wanted = set(indices)
+    assert [r for r in islice(root_stream(p), LONG) if r[0] in wanted] == expected
+    g = build(p, LONG)
+    assert [(k, g.in_degrees[k - 1], g.reaches[k - 1]) for k in indices] == expected
 
 
 def test_held_records_are_untracked():

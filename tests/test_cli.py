@@ -404,11 +404,45 @@ def test_reversal_identity_compares_the_literally_reversed_sum(monkeypatch):
     ]
 
 
+def test_outdegree_distinct_withholds_its_note_after_a_dip(monkeypatch):
+    # v_3 reaches only as far as v_2: the root out-degrees 1, 3, 2, 14, ...
+    # dip once but stay distinct, so the law passes without its note
+    built = verify.build
+
+    def dipped(p, n):
+        g = built(p, n)
+        return builder.JacoGraph(p, n, g.in_degrees, g.reaches[:2] + g.reaches[1:2] + g.reaches[3:])
+
+    monkeypatch.setattr(verify, "build", dipped)
+    [res] = verify.run(verify.VerifyConfig(polynomials=(X2,), n_max=40), ("outdegree-distinct",))
+    assert (res.ok, res.checks, res.notes) == (True, 1, [])
+
+
+def test_weight_evolution_rejects_a_dropped_class(monkeypatch):
+    # the order-6 colouring loses its last class: the count falls by one,
+    # and then rises by two to order 7
+    first_fit = chroma.min_sum_colouring
+
+    def dropped(graph):
+        s = first_fit(graph)
+        if len(graph.interval_caps) != 6:
+            return s
+        return chroma.ProperColouring(s.assignment, s.weights[:-1])
+
+    monkeypatch.setattr(chroma, "min_sum_colouring", dropped)
+    [res] = verify.run(only=("weight-evolution",))
+    assert res.checks == 19
+    assert res.failures == [
+        "x^2: weights changed irregularly from order 5 to 6: (2, 1, 1, 1) -> (2, 2, 1)",
+        "x^2: weights changed irregularly from order 6 to 7: (2, 2, 1) -> (2, 2, 1, 1, 1)",
+    ]
+
+
 def test_verify_results_follow_the_property_order():
     cfg = verify.VerifyConfig(
         polynomials=(IncidencePolynomial(1, 0, 0),), n_max=5, colouring_n_max=3
     )
-    assert [r.name for r in verify.run(cfg)] == list(verify.available_properties())
+    assert [r.name for r in verify.run(cfg)] == list(verify.PROPERTIES)
 
 
 def test_verify_sweeps_each_prefix_once_per_run(monkeypatch):
@@ -953,7 +987,7 @@ def _argv(draw):
                 "--arcs": draw(st.booleans()),
                 "--arc-budget": draw(st.sampled_from([None, None, "-1", "0", "5", "50", "100000"]))}
     else:
-        opts = {"--prop": draw(st.sampled_from(verify.available_properties())),
+        opts = {"--prop": draw(st.sampled_from(tuple(verify.PROPERTIES))),
                 "--n": draw(st.integers(-1, 5).map(str)),
                 "--colouring-n": draw(st.integers(-1, 4).map(str))}
     # "=" keeps a value that starts with "-" from reading as an option

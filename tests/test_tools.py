@@ -1,9 +1,13 @@
-"""The repository's line counter, on a sample whose counts are known."""
+"""The repository's tools: the line counter, on a sample whose counts are
+known, and the CLI byte check, against its own checkout."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "src_lines.py"
 SAMPLE = '"""One docstring."""\n# one comment\n\nanswer = "# not a comment"\n'
 
 
@@ -23,3 +27,9 @@ def test_src_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path, caps
     monkeypatch.setattr(src_lines, "SRC", tmp_path)
     src_lines.main()
     assert capsys.readouterr().out == "4 lines, 1 code lines\n"
+
+
+def test_cli_bytes_finds_no_difference_with_its_own_checkout():
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "cli_bytes.py"), str(ROOT)],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 of 23 command lines differ\n", "")
